@@ -9,11 +9,11 @@ BENCH ?= PR10
 
 .PHONY: verify fmtcheck build test race race-resilience mathx-accuracy \
 	precision-accuracy network-resilience shard-determinism ingest-lag \
-	chaos vet \
+	e2ebench chaos vet \
 	bench bench-PR2 bench-PR4 bench-PR5 bench-PR6 bench-PR7 bench-PR8 \
 	bench-PR9 bench-PR10 bench-parallel bench-throughput
 
-verify: fmtcheck vet build race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag race
+verify: fmtcheck vet build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag race
 
 # Fail when any file needs gofmt; list the offenders.
 fmtcheck:
@@ -28,6 +28,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is its own module, so the root `go build ./...`
+# never compiles it. Vet and test it here so a change to the calls it makes
+# (shard.Build, Group.Detach, core.ServeConfig.MaxBatch, AdmitSharded, ...)
+# fails verify instead of the next benchmark run. Offline: it needs no
+# module downloads.
+e2ebench:
+	GOPROXY=off $(GO) -C e2ebench vet ./... && GOPROXY=off $(GO) -C e2ebench test ./...
 
 race:
 	$(GO) test -race ./...

@@ -45,16 +45,16 @@ func (e *Estimator) Checkpoint(path string) error {
 		RNGDraws:  e.src.Draws(),
 		Workers:   e.cfg.Workers,
 		Health:    int(e.Health()),
-		LastEvent: e.lastEvent,
+		LastEvent: e.LastDegradation(),
 		GradTrips: e.gradTrips,
-		IngestSeq: e.ingestSeq,
+		IngestSeq: e.maint.Cursor,
 	}
 	if e.learn != nil {
 		ls := e.learn.State()
 		st.Learner = &ls
 	}
-	if e.res != nil {
-		st.ReservoirSeen = e.res.Seen()
+	if e.maint.Res != nil {
+		st.ReservoirSeen = e.maint.Res.Seen()
 	}
 	// The configured serving precision rides in the frame's meta word (low
 	// byte), so restore rebuilds — and re-verifies — the same tier.
@@ -87,10 +87,10 @@ func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimat
 			return nil, err
 		}
 	}
-	if e.res != nil && st.ReservoirSeen > 0 {
+	if e.maint.Res != nil && st.ReservoirSeen > 0 {
 		// Reservoir decisions depend only on (capacity, seen, rng); the
 		// rng below is fast-forwarded to the recorded stream position.
-		e.res, err = sample.NewReservoir(e.s, st.ReservoirSeen, e.rng)
+		e.maint.Res, err = sample.NewReservoir(e.s, st.ReservoirSeen, e.rng)
 		if err != nil {
 			return nil, err
 		}
@@ -100,10 +100,9 @@ func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimat
 	if e.host != nil {
 		e.host.SetWorkers(st.Workers)
 	}
-	e.health.Store(int32(st.Health))
-	e.lastEvent = st.LastEvent
+	e.Ladder.restore(Health(st.Health), st.LastEvent)
 	e.gradTrips = st.GradTrips
-	e.ingestSeq = st.IngestSeq
+	e.maint.Cursor = st.IngestSeq
 	// Reapply the checkpointed serving precision (v1 frames carry meta 0 =
 	// Float64). The tier is rebuilt from the restored sample and passes
 	// the verify gate again before serving; an unknown byte from a future

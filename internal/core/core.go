@@ -164,7 +164,7 @@ type Estimator struct {
 	kern kernel.Kernel
 	lf   loss.Function
 	rng  *rand.Rand
-	src  *countingSource // the source behind rng; draws are checkpointed
+	src  *sample.CountingSource // the source behind rng; draws are checkpointed
 
 	// Exactly one of host/eng is active: eng when a device is configured.
 	// hostMirror shadows the device-resident sample row-major on the host
@@ -177,18 +177,16 @@ type Estimator struct {
 	// Degradation state (see health.go). faults is the estimator-level
 	// injector; gradTrips counts consecutive rejected feedback gradients,
 	// fbPanics the panics recovered out of the feedback path.
+	Ladder
 	faults    *fault.Injector
-	health    atomic.Int32 // Health; atomic so Health() is lock-free for readiness probes
-	lastEvent string
 	gradTrips int
 	fbPanics  int
 
 	learn *learner.RMSprop
-	karma *sample.Karma
-	res   *sample.Reservoir
-
-	maintain bool
-	met      coreMetrics
+	// maint carries the karma scores, the reservoir and the change-feed
+	// cursor; Karma and Res are nil unless the model maintains its sample.
+	maint sample.Maintainer
+	met   coreMetrics
 
 	// Host-path feedback cache (the engine retains its own buffers).
 	lastQ       query.Range
@@ -200,11 +198,6 @@ type Estimator struct {
 	// served estimates without holding the writer lock.
 	queries      atomic.Int64
 	replacements int
-
-	// ingestSeq is the change-feed cursor: the highest mutation sequence
-	// number applied through ApplyMutations. Checkpoints capture it so a
-	// restore can resume the feed exactly once (see internal/ingest).
-	ingestSeq uint64
 
 	// Snapshot-isolated serving state (snapshot.go): snap holds the current
 	// immutable read view, snapOn gates publishing (enabled by core.Server).
@@ -234,7 +227,7 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 		return nil, errors.New("core: batch mode requires training feedback")
 	}
 	d := tab.Dims()
-	src := newCountingSource(cfg.Seed + 1)
+	src := sample.NewCountingSource(cfg.Seed + 1)
 	rng := rand.New(src)
 	s := cfg.sampleSize()
 	if s > tab.Len() {
@@ -255,6 +248,7 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 		rng:    rng,
 		src:    src,
 		faults: cfg.Faults,
+		maint:  sample.Maintainer{Rng: rng},
 	}
 
 	// Initial bandwidth per mode. Build-time degradations are counted
@@ -301,8 +295,7 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 			// A diverged optimizer must not fail ANALYZE: degrade to the
 			// Scott's-rule starting point and flag the model.
 			h = kde.ScottBandwidth(flat, d)
-			e.health.Store(int32(Degraded))
-			e.lastEvent = "batch optimizer diverged; using Scott's rule"
+			e.Degrade(Degraded, "batch optimizer diverged; using Scott's rule")
 			buildResets++
 		}
 	default:
@@ -329,8 +322,7 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 			e.hostMirror = append([]float64(nil), flat...)
 			onDevice = true
 		case errors.Is(err, fault.ErrInjected):
-			e.health.Store(int32(Degraded))
-			e.lastEvent = "device unavailable at build; placed model on host"
+			e.Degrade(Degraded, "device unavailable at build; placed model on host")
 			buildFallbacks++
 		default:
 			return nil, err
@@ -356,16 +348,15 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 			return nil, err
 		}
 		if !cfg.DisableMaintenance {
-			e.maintain = true
 			kcfg := cfg.Karma
 			if kcfg.Loss == nil {
 				kcfg.Loss = e.lf
 			}
-			e.karma, err = sample.NewKarma(s, kcfg)
+			e.maint.Karma, err = sample.NewKarma(s, kcfg)
 			if err != nil {
 				return nil, err
 			}
-			e.res, err = sample.NewReservoir(s, tab.Len(), rng)
+			e.maint.Res, err = sample.NewReservoir(s, tab.Len(), rng)
 			if err != nil {
 				return nil, err
 			}
@@ -389,9 +380,6 @@ type coreMetrics struct {
 	estimateSec *metrics.Histogram
 	feedbackSec *metrics.Histogram
 	minibatch   *metrics.Counter
-	karmaRepl   *metrics.Counter
-	resOffers   *metrics.Counter
-	resAccepts  *metrics.Counter
 
 	// Degradation and robustness events (see health.go).
 	degradations    *metrics.Counter
@@ -404,11 +392,6 @@ type coreMetrics struct {
 	gradRejected    *metrics.Counter
 	quarantined     *metrics.Counter
 	invalidQueries  *metrics.Counter
-	rejectedRows    *metrics.Counter
-	ignoredDeletes  *metrics.Counter
-	ignoredUpdates  *metrics.Counter
-	deleteEvicts    *metrics.Counter
-	updatePatches   *metrics.Counter
 	checkpoints     *metrics.Counter
 
 	// Serving-path instruments: queries that reached the device as part of a
@@ -430,9 +413,6 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 		estimateSec: reg.Histogram("core.estimate_seconds"),
 		feedbackSec: reg.Histogram("core.feedback_seconds"),
 		minibatch:   reg.Counter("core.minibatch_updates"),
-		karmaRepl:   reg.Counter("core.karma_replacements"),
-		resOffers:   reg.Counter("core.reservoir_offers"),
-		resAccepts:  reg.Counter("core.reservoir_accepts"),
 
 		degradations:    reg.Counter("core.degradation_events"),
 		gpuRetries:      reg.Counter("core.gpu_retries"),
@@ -444,17 +424,13 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 		gradRejected:    reg.Counter("core.gradients_rejected"),
 		quarantined:     reg.Counter("core.gradients_quarantined"),
 		invalidQueries:  reg.Counter("core.invalid_queries"),
-		rejectedRows:    reg.Counter("core.rejected_rows"),
-		ignoredDeletes:  reg.Counter("core.ignored_deletes"),
-		ignoredUpdates:  reg.Counter("core.ignored_updates"),
-		deleteEvicts:    reg.Counter("core.delete_evictions"),
-		updatePatches:   reg.Counter("core.update_patches"),
 		checkpoints:     reg.Counter("core.checkpoints_written"),
 
 		deviceBatchQueries: reg.Counter("core.device_batch_queries"),
 		snapshotSwaps:      reg.Counter("core.snapshot_swaps"),
 		precisionFallbacks: reg.Counter("core.precision_fallbacks"),
 	}
+	e.maint.Instrument(reg)
 	if e.learn != nil {
 		e.learn.Instrument(reg)
 	}
@@ -469,7 +445,7 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 	}
 	// Degradation state as a pull-style gauge: 0 healthy, 1 degraded,
 	// 2 fallback (see health.go).
-	reg.RegisterGaugeFunc("core.health", func() float64 { return float64(e.health.Load()) })
+	reg.RegisterGaugeFunc("core.health", func() float64 { return float64(e.Health()) })
 	// Age of the published read snapshot: how stale a lock-free estimate can
 	// be relative to the writer's latest mutation. 0 when snapshot-isolated
 	// serving is off (no Server, or SerializeEstimates).
@@ -481,13 +457,18 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 		return time.Since(ms.published).Seconds()
 	})
 	// Per-dimension bandwidth drift relative to the bandwidth at attach
-	// time, as pull-style gauges evaluated only at snapshot time.
+	// time, as pull-style gauges evaluated only at snapshot time. A scrape
+	// runs concurrently with the writer, so a served model reports the
+	// bandwidth of its published, immutable snapshot.
 	h0 := e.Bandwidth()
 	for j := range h0 {
 		j, ref := j, h0[j]
 		reg.RegisterGaugeFunc(fmt.Sprintf("core.bandwidth_drift.dim%d", j), func() float64 {
 			if !(ref > 0) {
 				return 0
+			}
+			if ms := e.snap.Load(); ms != nil {
+				return ms.view.Bandwidth()[j] / ref
 			}
 			return e.Bandwidth()[j] / ref
 		})
@@ -578,7 +559,7 @@ func (e *Estimator) Device() *gpu.Device {
 // and then degrade to the host path, and the returned value is always a
 // finite selectivity in [0, 1] — never NaN or Inf (see health.go).
 func (e *Estimator) Estimate(q query.Range) (float64, error) {
-	if err := e.validateQuery(q); err != nil {
+	if err := ValidateQuery(e.d, q); err != nil {
 		e.met.invalidQueries.Inc()
 		return 0, err
 	}
@@ -659,15 +640,11 @@ func (e *Estimator) Feedback(q query.Range, actual float64) (err error) {
 	if e.cfg.Mode != Adaptive {
 		return nil
 	}
-	if verr := e.validateQuery(q); verr != nil {
+	if verr := ValidateFeedback(e.d, q, actual); verr != nil {
 		e.met.invalidQueries.Inc()
 		return verr
 	}
-	if math.IsNaN(actual) || math.IsInf(actual, 0) {
-		e.met.invalidQueries.Inc()
-		return fmt.Errorf("%w: non-finite true selectivity %v", ErrInvalidFeedback, actual)
-	}
-	actual = clamp01(actual)
+	actual = Clamp01(actual)
 	if e.met.feedbackSec != nil {
 		start := time.Now()
 		defer func() { e.met.feedbackSec.ObserveDuration(time.Since(start)) }()
@@ -790,13 +767,9 @@ func (e *Estimator) FeedbackBatch(fbs []query.Feedback) error {
 		return nil
 	}
 	for _, fb := range fbs {
-		if err := e.validateQuery(fb.Query); err != nil {
+		if err := ValidateFeedback(e.d, fb.Query, fb.Actual); err != nil {
 			e.met.invalidQueries.Inc()
 			return err
-		}
-		if math.IsNaN(fb.Actual) || math.IsInf(fb.Actual, 0) {
-			e.met.invalidQueries.Inc()
-			return fmt.Errorf("%w: non-finite true selectivity %v", ErrInvalidFeedback, fb.Actual)
 		}
 	}
 	defer e.publishSnapshot()
@@ -863,44 +836,41 @@ func (e *Estimator) FeedbackBatch(fbs []query.Feedback) error {
 
 // maintainSample performs the karma update and point replacements of §4.2.
 func (e *Estimator) maintainSample(q query.Range, actual float64) error {
-	if e.maintain {
-		var idx []int
-		var err error
-		if e.eng != nil {
-			idx, err = e.eng.UpdateKarma(e.karma, actual)
-		} else {
-			bound := 0.0
-			if actual == 0 {
-				if _, ok := e.kern.(kernel.Gaussian); ok {
-					bound = sample.EmptyRegionBound(q, e.Bandwidth())
-				}
-			}
-			idx, err = e.karma.Update(e.lastContrib, e.lastEst, actual, bound)
-		}
-		if err != nil {
-			return err
-		}
-		for _, i := range idx {
-			row, ok := e.tab.RandomRow(e.rng)
-			if !ok {
-				break // empty table: nothing to replace with
-			}
-			if err := e.replacePoint(i, row); err != nil {
-				return err
-			}
-			e.met.karmaRepl.Inc()
-		}
-	}
-	return nil
-}
-
-func (e *Estimator) replacePoint(i int, row []float64) error {
-	// A non-finite replacement row would poison every future estimate
-	// (table.Append blocks NaN but not ±Inf); keep the old point instead.
-	if !finiteRow(row) {
-		e.met.rejectedRows.Inc()
+	if e.maint.Karma == nil {
 		return nil
 	}
+	var idx []int
+	var err error
+	if e.eng != nil {
+		idx, err = e.eng.UpdateKarma(e.maint.Karma, actual)
+	} else {
+		bound := 0.0
+		if actual == 0 {
+			if _, ok := e.kern.(kernel.Gaussian); ok {
+				bound = sample.EmptyRegionBound(q, e.Bandwidth())
+			}
+		}
+		idx, err = e.maint.Karma.Update(e.lastContrib, e.lastEst, actual, bound)
+	}
+	if err != nil {
+		return err
+	}
+	return e.maint.ReplaceOutdated(estimatorSlots{e}, e.tab, idx)
+}
+
+// estimatorSlots gives sample maintenance slot access to the estimator's
+// sample: the host estimator's buffer, or the device with its host mirror.
+type estimatorSlots struct{ e *Estimator }
+
+func (s estimatorSlots) Len() int { return s.e.s }
+
+func (s estimatorSlots) Point(i int) []float64 {
+	d := s.e.d
+	return s.e.sampleRef()[i*d : (i+1)*d]
+}
+
+func (s estimatorSlots) Replace(i int, row []float64) error {
+	e := s.e
 	e.replacements++
 	e.hasEst = false
 	if e.eng != nil {
@@ -977,138 +947,6 @@ func (e *Estimator) sampleRef() []float64 {
 	return e.host.SampleFlat()
 }
 
-// findSampleSlot scans the sample in slot order for an exact match of row,
-// returning -1 when absent. Exact float64 equality is the right predicate:
-// a table pre-image that entered the sample entered bit-identical. Slot
-// order makes the scan deterministic, so batched and one-at-a-time apply
-// pick the same slot even when the sample holds duplicates.
-func (e *Estimator) findSampleSlot(row []float64) int {
-	flat := e.sampleRef()
-	d := e.d
-slots:
-	for i := 0; (i+1)*d <= len(flat); i++ {
-		p := flat[i*d : (i+1)*d]
-		for j, v := range row {
-			if p[j] != v {
-				continue slots
-			}
-		}
-		return i
-	}
-	return -1
-}
-
-// applyInsert runs reservoir sampling (§4.2) over one inserted row:
-// accepted tuples replace a random sample slot and reset its karma. It
-// reports whether the sample changed; the caller republishes.
-func (e *Estimator) applyInsert(row []float64) (bool, error) {
-	if e.res == nil {
-		return false, nil
-	}
-	e.met.resOffers.Inc()
-	slot, accept := e.res.Offer()
-	if !accept {
-		return false, nil
-	}
-	e.met.resAccepts.Inc()
-	r := make([]float64, len(row))
-	copy(r, row)
-	if err := e.replacePoint(slot, r); err != nil {
-		return false, err
-	}
-	if e.karma != nil {
-		e.karma.Reset(slot)
-	}
-	return true, nil
-}
-
-// applyDelete handles one deleted row. Vitter's Algorithm R is insert-only,
-// so deletion of a sampled tuple is handled by eviction: the pre-image is
-// located in the sample (exact match) and replaced with a copy of a
-// uniformly random surviving sample point, its karma reset. The replacement
-// deliberately comes from the sample's own empirical distribution, not the
-// base table: the apply path must never take table locks — it runs on the
-// ingest applier goroutine while table writers may be parked on ring
-// backpressure — and the sample is the model's unbiased view of the
-// relation; karma maintenance rebalances any duplicate mass. Deletes of
-// unsampled tuples — the common case — and deletes that empty the sample
-// are still deferred to karma and counted under core.ignored_deletes.
-func (e *Estimator) applyDelete(row []float64) (bool, error) {
-	if e.res == nil {
-		return false, nil
-	}
-	slot := e.findSampleSlot(row)
-	if slot < 0 {
-		e.met.ignoredDeletes.Inc()
-		return false, nil
-	}
-	if e.s < 2 {
-		e.met.ignoredDeletes.Inc()
-		return false, nil
-	}
-	// One rng draw, mapped around slot so the replacement is never the
-	// evicted point itself.
-	j := e.rng.Intn(e.s - 1)
-	if j >= slot {
-		j++
-	}
-	repl := make([]float64, e.d)
-	copy(repl, e.sampleRef()[j*e.d:(j+1)*e.d])
-	if err := e.replacePoint(slot, repl); err != nil {
-		return false, err
-	}
-	if e.karma != nil {
-		e.karma.Reset(slot)
-	}
-	e.met.deleteEvicts.Inc()
-	return true, nil
-}
-
-// applyUpdate handles one in-place row change: when the pre-image is
-// sampled, it is patched to the post-image and its karma reset, keeping the
-// sample an unbiased snapshot of the live relation. Updates of unsampled
-// tuples are deferred to karma and counted under core.ignored_updates.
-func (e *Estimator) applyUpdate(pre, post []float64) (bool, error) {
-	if e.res == nil {
-		return false, nil
-	}
-	slot := e.findSampleSlot(pre)
-	if slot < 0 {
-		e.met.ignoredUpdates.Inc()
-		return false, nil
-	}
-	r := make([]float64, len(post))
-	copy(r, post)
-	if err := e.replacePoint(slot, r); err != nil {
-		return false, err
-	}
-	if e.karma != nil {
-		e.karma.Reset(slot)
-	}
-	e.met.updatePatches.Inc()
-	return true, nil
-}
-
-// applyMutation dispatches one change-feed event to the sample-maintenance
-// handler for its kind and advances the ingest cursor, without
-// republishing.
-func (e *Estimator) applyMutation(m *table.Mutation) (bool, error) {
-	var changed bool
-	var err error
-	switch m.Kind {
-	case table.MutInsert:
-		changed, err = e.applyInsert(m.Row)
-	case table.MutDelete:
-		changed, err = e.applyDelete(m.Row)
-	case table.MutUpdate:
-		changed, err = e.applyUpdate(m.Pre, m.Row)
-	}
-	if m.Seq > e.ingestSeq {
-		e.ingestSeq = m.Seq
-	}
-	return changed, err
-}
-
 // ApplyMutations applies a batch of change-feed events in sequence order
 // with a single snapshot republish at the end — the synchronized apply path
 // the ingestion bridge drives through core.Server.ApplyMutations. Callers
@@ -1116,25 +954,17 @@ func (e *Estimator) applyMutation(m *table.Mutation) (bool, error) {
 // bit-identical to applying the same events one at a time: only the publish
 // frequency differs, and publishing never changes model state.
 func (e *Estimator) ApplyMutations(ms []table.Mutation) error {
-	changed := false
-	var firstErr error
-	for i := range ms {
-		c, err := e.applyMutation(&ms[i])
-		changed = changed || c
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	changed, err := e.maint.Apply(estimatorSlots{e}, ms)
 	if changed {
 		e.publishSnapshot()
 	}
-	return firstErr
+	return err
 }
 
 // IngestCursor returns the highest change-feed sequence number applied so
 // far (0 before any batch carries sequence numbers). It is captured in
 // checkpoints for exactly-once resume.
-func (e *Estimator) IngestCursor() uint64 { return e.ingestSeq }
+func (e *Estimator) IngestCursor() uint64 { return e.maint.Cursor }
 
 // Detach removes the estimator's direct table subscription, if any. After
 // Detach returns no further change notifications reach the estimator; a
@@ -1151,23 +981,17 @@ func (e *Estimator) Detach() {
 // the feed through internal/ingest instead, which batches republishes and
 // holds the writer lock.
 func (e *Estimator) OnInsert(row []float64) {
-	if changed, _ := e.applyInsert(row); changed {
-		e.publishSnapshot()
-	}
+	_ = e.ApplyMutations([]table.Mutation{{Kind: table.MutInsert, Row: row}})
 }
 
 // OnDelete implements table.Listener (direct single-writer path); see
-// applyDelete for the evict-and-resample semantics.
+// sample.Maintainer for the evict-and-resample semantics.
 func (e *Estimator) OnDelete(row []float64) {
-	if changed, _ := e.applyDelete(row); changed {
-		e.publishSnapshot()
-	}
+	_ = e.ApplyMutations([]table.Mutation{{Kind: table.MutDelete, Row: row}})
 }
 
 // OnUpdate implements table.Listener (direct single-writer path); see
-// applyUpdate for the patch-in-place semantics.
+// sample.Maintainer for the patch-in-place semantics.
 func (e *Estimator) OnUpdate(oldRow, newRow []float64) {
-	if changed, _ := e.applyUpdate(oldRow, newRow); changed {
-		e.publishSnapshot()
-	}
+	_ = e.ApplyMutations([]table.Mutation{{Kind: table.MutUpdate, Row: newRow, Pre: oldRow}})
 }

@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"kdesel/internal/fault"
@@ -65,34 +67,64 @@ func (h Health) String() string {
 	}
 }
 
-// Health returns the estimator's current degradation state. It is safe to
-// call without the owner's writer lock: the state is atomic so health and
-// readiness probes never block behind a long ANALYZE.
-func (e *Estimator) Health() Health { return Health(e.health.Load()) }
+// Ladder is a model's position on the degradation ladder plus the cause of
+// its latest degradation event. Health only ever degrades within a process
+// (restore a checkpoint or rebuild to clear it). Both model engines, the
+// Estimator and the sharded group, embed one.
+type Ladder struct {
+	health atomic.Int32
+	mu     sync.Mutex
+	last   string
+}
+
+// Health returns the current degradation state. It never takes the owner's
+// writer lock, so health and readiness probes never block behind a long
+// ANALYZE.
+func (l *Ladder) Health() Health { return Health(l.health.Load()) }
+
+// LastDegradation returns a human-readable description of the most recent
+// degradation event, or "" while the model is healthy.
+func (l *Ladder) LastDegradation() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.last
+}
+
+// Degrade records reason as the latest degradation event and moves health
+// down to h unless it is already there or lower. It reports whether health
+// moved.
+func (l *Ladder) Degrade(h Health, reason string) bool {
+	l.mu.Lock()
+	l.last = reason
+	l.mu.Unlock()
+	for {
+		cur := l.health.Load()
+		if int32(h) <= cur {
+			return false
+		}
+		if l.health.CompareAndSwap(cur, int32(h)) {
+			return true
+		}
+	}
+}
+
+// restore reinstates a checkpointed ladder position.
+func (l *Ladder) restore(h Health, last string) {
+	l.health.Store(int32(h))
+	l.mu.Lock()
+	l.last = last
+	l.mu.Unlock()
+}
 
 // SetFaultInjector attaches an estimator-level fault injector (normally
 // wired through Config.Faults); nil detaches. Injectors are not part of
 // the persisted state, so restored estimators start without one.
 func (e *Estimator) SetFaultInjector(inj *fault.Injector) { e.faults = inj }
 
-// LastDegradation returns a human-readable description of the most recent
-// degradation event, or "" while the estimator is healthy.
-func (e *Estimator) LastDegradation() string { return e.lastEvent }
-
-// setHealth records a degradation event. Health is monotone: it never moves
-// back toward Healthy within a process (restore a checkpoint or rebuild to
-// clear it).
+// setHealth records a degradation event and counts the transition.
 func (e *Estimator) setHealth(h Health, reason string) {
-	e.lastEvent = reason
-	for {
-		cur := e.health.Load()
-		if int32(h) <= cur {
-			return
-		}
-		if e.health.CompareAndSwap(cur, int32(h)) {
-			e.met.degradations.Inc()
-			return
-		}
+	if e.Degrade(h, reason) {
+		e.met.degradations.Inc()
 	}
 }
 
@@ -123,18 +155,19 @@ func (iq *InvalidQueryError) Error() string {
 // Unwrap makes errors.Is(err, ErrInvalidQuery) hold.
 func (iq *InvalidQueryError) Unwrap() error { return ErrInvalidQuery }
 
-// validateQuery rejects malformed ranges at the estimator boundary: shape
-// mismatches, NaN or infinite bounds, and inverted intervals. Rejecting
-// infinities here (query.Range.Validate allows them) is deliberate — an
-// unbounded predicate should be clamped to the attribute domain by the
-// caller, and letting ±Inf into the kernel math can poison the retained
-// per-point contributions that feed karma maintenance.
-func (e *Estimator) validateQuery(q query.Range) error {
+// ValidateQuery rejects malformed ranges against a d-dimensional model at
+// the estimator boundary: shape mismatches, NaN or infinite bounds, and
+// inverted intervals. Rejecting infinities here (query.Range.Validate
+// allows them) is deliberate — an unbounded predicate should be clamped to
+// the attribute domain by the caller, and letting ±Inf into the kernel math
+// can poison the retained per-point contributions that feed karma
+// maintenance.
+func ValidateQuery(d int, q query.Range) error {
 	if len(q.Lo) != len(q.Hi) {
 		return &InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("bound length mismatch: %d vs %d", len(q.Lo), len(q.Hi))}
 	}
-	if q.Dims() != e.d {
-		return &InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("query has %d dims, estimator has %d", q.Dims(), e.d)}
+	if q.Dims() != d {
+		return &InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("query has %d dims, estimator has %d", q.Dims(), d)}
 	}
 	for j := range q.Lo {
 		lo, hi := q.Lo[j], q.Hi[j]
@@ -146,6 +179,18 @@ func (e *Estimator) validateQuery(q query.Range) error {
 		case lo > hi:
 			return &InvalidQueryError{Dim: j, Reason: fmt.Sprintf("inverted bounds [%g, %g]", lo, hi)}
 		}
+	}
+	return nil
+}
+
+// ValidateFeedback is ValidateQuery plus the rejection of a non-finite
+// true selectivity.
+func ValidateFeedback(d int, q query.Range, actual float64) error {
+	if err := ValidateQuery(d, q); err != nil {
+		return err
+	}
+	if math.IsNaN(actual) || math.IsInf(actual, 0) {
+		return fmt.Errorf("%w: non-finite true selectivity %v", ErrInvalidFeedback, actual)
 	}
 	return nil
 }
@@ -315,17 +360,17 @@ func (e *Estimator) sampleHostLocal() ([]float64, error) {
 // estimate is pinned to the nearest bound. Estimate never returns NaN/Inf.
 func (e *Estimator) sanitizeEstimate(q query.Range, est float64) float64 {
 	if !math.IsNaN(est) && !math.IsInf(est, 0) {
-		return clamp01(est)
+		return Clamp01(est)
 	}
 	e.met.nonfiniteEst.Inc()
 	if err := e.resetToScott("non-finite estimate"); err == nil {
 		if again, err2 := e.estimateRaw(q); err2 == nil && !math.IsNaN(again) && !math.IsInf(again, 0) {
-			return clamp01(again)
+			return Clamp01(again)
 		}
 	}
 	e.enterSerialFallback("non-finite estimate survived Scott's-rule reset")
 	if again, err2 := e.estimateRaw(q); err2 == nil && !math.IsNaN(again) && !math.IsInf(again, 0) {
-		return clamp01(again)
+		return Clamp01(again)
 	}
 	// Pin to the nearest bound and drop the retained per-query state so the
 	// feedback path never consumes the non-finite contributions.
@@ -336,7 +381,9 @@ func (e *Estimator) sanitizeEstimate(q query.Range, est float64) float64 {
 	return 0
 }
 
-func clamp01(v float64) float64 {
+// Clamp01 pins a finite estimate into [0, 1], the range every serving path
+// returns: float rounding in the kernel sums can land a hair outside it.
+func Clamp01(v float64) float64 {
 	switch {
 	case v < 0:
 		return 0
@@ -345,13 +392,4 @@ func clamp01(v float64) float64 {
 	default:
 		return v
 	}
-}
-
-func finiteRow(row []float64) bool {
-	for _, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

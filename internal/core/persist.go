@@ -63,7 +63,7 @@ func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 		KernelName:   e.kern.Name(),
 		LossName:     e.lf.Name(),
 		Seed:         e.cfg.Seed,
-		Maintained:   e.maintain,
+		Maintained:   e.maint.Karma != nil,
 		Queries:      int(e.queries.Load()),
 		Replacements: e.replacements,
 		LearnerCfg:   e.cfg.Learner,
@@ -74,8 +74,8 @@ func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 			NoShortcut: e.cfg.Karma.NoShortcut,
 		},
 	}
-	if e.karma != nil {
-		snap.KarmaScores = e.karma.Scores()
+	if e.maint.Karma != nil {
+		snap.KarmaScores = e.maint.Karma.Scores()
 	}
 	return snap
 }
@@ -116,7 +116,8 @@ func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Est
 		return nil, fmt.Errorf("core: unknown loss %q in snapshot", snap.LossName)
 	}
 
-	src := newCountingSource(snap.Seed + 1)
+	src := sample.NewCountingSource(snap.Seed + 1)
+	rng := rand.New(src)
 	e := &Estimator{
 		cfg: Config{
 			Mode:       Mode(snap.Mode),
@@ -139,8 +140,9 @@ func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Est
 		s:            len(snap.Sample) / snap.Dims,
 		kern:         kern,
 		lf:           lf,
-		rng:          rand.New(src),
+		rng:          rng,
 		src:          src,
+		maint:        sample.Maintainer{Rng: rng},
 		replacements: snap.Replacements,
 	}
 	e.queries.Store(int64(snap.Queries))
@@ -174,17 +176,16 @@ func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Est
 			return nil, err
 		}
 		if snap.Maintained {
-			e.maintain = true
-			e.karma, err = sample.NewKarma(e.s, e.cfg.Karma)
+			e.maint.Karma, err = sample.NewKarma(e.s, e.cfg.Karma)
 			if err != nil {
 				return nil, err
 			}
 			if snap.KarmaScores != nil {
-				if err := e.karma.RestoreScores(snap.KarmaScores); err != nil {
+				if err := e.maint.Karma.RestoreScores(snap.KarmaScores); err != nil {
 					return nil, err
 				}
 			}
-			e.res, err = sample.NewReservoir(e.s, tab.Len(), e.rng)
+			e.maint.Res, err = sample.NewReservoir(e.s, tab.Len(), e.rng)
 			if err != nil {
 				return nil, err
 			}

@@ -33,7 +33,7 @@ func (e *Estimator) EstimateBatch(qs []query.Range, ests []float64) error {
 		return fmt.Errorf("core: EstimateBatch got %d queries but %d result slots", len(qs), len(ests))
 	}
 	for _, q := range qs {
-		if err := e.validateQuery(q); err != nil {
+		if err := ValidateQuery(e.d, q); err != nil {
 			e.met.invalidQueries.Inc()
 			return err
 		}
@@ -191,29 +191,17 @@ func NewServer(est *Estimator, cfg ServeConfig) *Server {
 
 // OnInsert implements table.Listener under the writer lock.
 func (s *Server) OnInsert(row []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if changed, _ := s.est.applyInsert(row); changed {
-		s.est.publishSnapshot()
-	}
+	_ = s.ApplyMutations([]table.Mutation{{Kind: table.MutInsert, Row: row}})
 }
 
 // OnDelete implements table.Listener under the writer lock.
 func (s *Server) OnDelete(row []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if changed, _ := s.est.applyDelete(row); changed {
-		s.est.publishSnapshot()
-	}
+	_ = s.ApplyMutations([]table.Mutation{{Kind: table.MutDelete, Row: row}})
 }
 
 // OnUpdate implements table.Listener under the writer lock.
 func (s *Server) OnUpdate(oldRow, newRow []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if changed, _ := s.est.applyUpdate(oldRow, newRow); changed {
-		s.est.publishSnapshot()
-	}
+	_ = s.ApplyMutations([]table.Mutation{{Kind: table.MutUpdate, Row: newRow, Pre: oldRow}})
 }
 
 // Coalescing reports whether concurrent estimates are batched (false when
@@ -226,7 +214,7 @@ func (s *Server) Coalescing() bool { return s.b.Load() != nil }
 // keeps serving through the snapshot (or writer-mutex) path — only the
 // coalescer is gone, not the model.
 //
-// Validation happens before enqueueing, lock-free: validateQuery reads only
+// Validation happens before enqueueing, lock-free: ValidateQuery reads only
 // the immutable dimensionality, so malformed queries are rejected at memory
 // speed without occupying a batch slot or waking the scheduler.
 func (s *Server) Estimate(q query.Range) (float64, error) {
@@ -242,7 +230,7 @@ func (s *Server) Estimate(q query.Range) (float64, error) {
 // expires after evaluation returns the computed (and counted) estimate, so
 // Queries() accounting matches delivered results exactly.
 func (s *Server) EstimateContext(ctx context.Context, q query.Range) (float64, error) {
-	if err := s.est.validateQuery(q); err != nil {
+	if err := ValidateQuery(s.est.d, q); err != nil {
 		s.est.met.invalidQueries.Inc()
 		return 0, err
 	}
@@ -275,6 +263,14 @@ func (s *Server) EstimateContext(ctx context.Context, q query.Range) (float64, e
 		return 0, err
 	}
 	return s.est.Estimate(q)
+}
+
+// EstimateDetail is EstimateContext in the shape the model registry serves
+// every model through. An unsharded model never serves a degraded partial
+// estimate, so the flag is always false.
+func (s *Server) EstimateDetail(ctx context.Context, q query.Range) (float64, bool, error) {
+	est, err := s.EstimateContext(ctx, q)
+	return est, false, err
 }
 
 // acquireCtx locks mu unless ctx expires first. sync.Mutex has no native

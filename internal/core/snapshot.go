@@ -93,7 +93,7 @@ func (e *Estimator) estimateSnapshot(q query.Range) (float64, bool) {
 		e.met.estimateSec.ObserveDuration(time.Since(start))
 	}
 	e.queries.Add(1)
-	return clamp01(est), true
+	return Clamp01(est), true
 }
 
 // estimateBatchSnapshot is the batch counterpart of estimateSnapshot: the
@@ -116,7 +116,7 @@ func (e *Estimator) estimateBatchSnapshot(qs []query.Range, ests []float64) bool
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
-		ests[i] = clamp01(v)
+		ests[i] = Clamp01(v)
 	}
 	if e.met.estimateSec != nil {
 		e.met.estimateSec.ObserveDuration(time.Since(start))

@@ -37,11 +37,8 @@ type entryApplier struct{ ent *entry }
 
 func (a entryApplier) ApplyMutations(ms []table.Mutation) error {
 	a.ent.touch()
-	if g := a.ent.grp.Load(); g != nil {
-		return g.ApplyMutations(ms)
-	}
-	if s := a.ent.srv.Load(); s != nil {
-		return s.ApplyMutations(ms)
+	if m := a.ent.current(); m != nil {
+		return m.ApplyMutations(ms)
 	}
 	return fmt.Errorf("registry: model %v is not resident", a.ent.key)
 }
@@ -90,10 +87,8 @@ func (r *Registry) DetachIngest(key Key) error {
 		return nil
 	}
 	cerr := br.Close()
-	if g := ent.grp.Load(); g != nil {
-		ent.tab.Subscribe(g)
-	} else if s := ent.srv.Load(); s != nil {
-		ent.tab.Subscribe(s)
+	if m := ent.current(); m != nil {
+		ent.tab.Subscribe(m)
 	}
 	return cerr
 }
@@ -105,20 +100,15 @@ func (r *Registry) attachIngestLocked(ent *entry) error {
 	if ent.bridge.Load() != nil {
 		return nil
 	}
-	var cursor uint64
-	if g := ent.grp.Load(); g != nil {
-		g.Detach()
-		cursor = g.IngestCursor()
-	} else if s := ent.srv.Load(); s != nil {
-		s.DetachFeed()
-		cursor = s.IngestCursor()
-	} else {
+	m := ent.current()
+	if m == nil {
 		return fmt.Errorf("registry: model %v is not resident", ent.key)
 	}
+	m.DetachFeed()
 	br, err := ingest.Attach(ent.tab, entryApplier{ent}, ingest.Config{
 		RingSize: ent.ingCfg.RingSize,
 		MaxBatch: ent.ingCfg.MaxBatch,
-		Cursor:   cursor,
+		Cursor:   m.IngestCursor(),
 		Drift:    ent.ingCfg.Drift,
 		OnDrift:  func(d ingest.Drift) { r.onDrift(ent, d) },
 		Metrics:  r.met.WithPrefix(ent.key.MetricPrefix()),

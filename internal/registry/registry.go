@@ -7,8 +7,9 @@
 // model's multi-second ANALYZE must never stall another model's estimates.
 //
 // The registry owns that lifecycle. Models are admitted under a Key
-// (table + ordered column subset), built once, and served through
-// core.Server — so each model keeps the single-writer / lock-free-reader
+// (table + ordered column subset), built once, and served through one
+// model handle — a core.Server for an unsharded model, a shard.Group for a
+// sharded one — so each model keeps the single-writer / lock-free-reader
 // split of the serving layer, and cross-model isolation follows from each
 // model having its own writer mutex. The registry adds:
 //
@@ -26,9 +27,9 @@
 // Lock order: Registry.mu guards only the key→entry map and is never held
 // across model work. Each entry has a lifecycle mutex serializing
 // build/restore/checkpoint/evict for that one model; estimates never take
-// it (they go through the entry's atomic server pointer, and a server
+// it (they go through the entry's atomic handle pointer, and a handle
 // detached by a racing evict keeps serving its snapshot — see
-// core.Server.Close). Cross-entry operations (LRU enforcement, sweeps) take
+// core.Server.Close and shard.Group.Close). Cross-entry operations (LRU enforcement, sweeps) take
 // one entry mutex at a time, never two.
 package registry
 
@@ -125,25 +126,40 @@ func (c Config) analyzeQueue() int {
 	return 16
 }
 
-// entry is one admitted model. srv is the serving handle, atomic because
+// model is the serving handle of one resident model: *core.Server for an
+// unsharded model, *shard.Group for a sharded one. The registry never needs
+// to know which. A handle is also the model's direct change-feed listener.
+type model interface {
+	table.Listener
+	// EstimateDetail estimates q; degraded reports a sharded gather that
+	// lost shards and renormalized over the survivors.
+	EstimateDetail(ctx context.Context, q query.Range) (est float64, degraded bool, err error)
+	Feedback(q query.Range, actual float64) error
+	FeedbackBatch(fbs []query.Feedback) error
+	// Reoptimize is the ANALYZE step.
+	Reoptimize(fbs []query.Feedback) error
+	Checkpoint(path string) error
+	ApplyMutations(ms []table.Mutation) error
+	IngestCursor() uint64
+	DetachFeed()
+	Close()
+	Health() core.Health
+	Queries() int
+}
+
+// entry is one admitted model. cur is the serving handle, atomic because
 // estimates load it lock-free while evict/restore swap it; mu serializes
 // the lifecycle transitions (build, restore, checkpoint, evict) for this
 // model only, so one model's slow transition never blocks another's.
 type entry struct {
-	key      Key
-	tab      *table.Table
-	serveCfg core.ServeConfig
-
-	// sharded entries serve through grp instead of srv; shardCfg keeps the
-	// runtime half of the group configuration (loss, learner, karma,
-	// shard count) for restore-on-demand, which rebuilds the model state
-	// itself from the checkpoint frames.
-	sharded  bool
-	shardCfg shard.Config
+	key Key
+	tab *table.Table
+	// open builds the model (path "") or restores it from the checkpoint
+	// at path. Admit and AdmitSharded differ only in the open they install.
+	open func(path string) (model, error)
 
 	mu  sync.Mutex
-	srv atomic.Pointer[core.Server]
-	grp atomic.Pointer[shard.Group]
+	cur atomic.Pointer[model] // nil while evicted
 
 	lastUsed atomic.Int64 // UnixNano of last estimate/feedback
 	lastCkpt atomic.Int64 // UnixNano of last checkpoint
@@ -165,13 +181,26 @@ type entry struct {
 	fbNext int
 }
 
+// current returns the live handle, or nil while the model is evicted.
+func (e *entry) current() model {
+	if p := e.cur.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// install publishes m as the live handle; caller holds e.mu.
+func (e *entry) install(m model) {
+	e.cur.Store(&m)
+	e.touch()
+}
+
 func (e *entry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
 
-// resident reports whether the entry currently holds a live serving
-// handle of either kind.
-func (e *entry) resident() bool { return e.srv.Load() != nil || e.grp.Load() != nil }
+// resident reports whether the entry currently holds a live serving handle.
+func (e *entry) resident() bool { return e.cur.Load() != nil }
 
-// Registry routes per-model operations to the right core.Server and owns
+// Registry routes per-model operations to the right model handle and owns
 // admission, checkpoint rotation, eviction, and restore. Safe for
 // concurrent use. Construct with New.
 type Registry struct {
@@ -254,41 +283,35 @@ func New(cfg Config) *Registry {
 // overridden by the registry's shared resources (per-model metric prefix,
 // shared pool); buildCfg.Device defaults to the registry's shared device.
 func (r *Registry) Admit(key Key, tab *table.Table, buildCfg core.Config, serveCfg core.ServeConfig) error {
-	if len(key.Columns) == 0 {
-		return fmt.Errorf("registry: key %q has no columns", key.Table)
-	}
-	if tab == nil {
-		return errors.New("registry: nil table")
-	}
-	if tab.Dims() != len(key.Columns) {
-		return fmt.Errorf("registry: key %v names %d columns but table has %d",
-			key, len(key.Columns), tab.Dims())
-	}
-	ent := &entry{key: key, tab: tab, serveCfg: serveCfg}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	if _, dup := r.models[key.String()]; dup {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrDuplicateModel, key)
-	}
-	r.models[key.String()] = ent
-	r.mu.Unlock()
-
-	ent.mu.Lock()
-	err := r.buildLocked(ent, buildCfg)
-	ent.mu.Unlock()
-	if err != nil {
-		r.mu.Lock()
-		delete(r.models, key.String())
-		r.mu.Unlock()
-		return err
-	}
-	r.admissions.Inc()
-	r.enforceResidency(key)
-	return nil
+	return r.admit(key, tab, func(path string) (model, error) {
+		// Registries and pools are not persisted state: a restored model is
+		// re-instrumented under the same metric namespace and rewired to
+		// the shared pool, exactly like a built one.
+		view := r.met.WithPrefix(key.MetricPrefix())
+		var est *core.Estimator
+		var err error
+		if path == "" {
+			cfg := buildCfg
+			cfg.Metrics = view
+			cfg.Workers = 0 // shared pool installed below
+			if cfg.Device == nil {
+				cfg.Device = r.cfg.Device
+			}
+			est, err = core.Build(tab, cfg)
+		} else if est, err = core.RestoreCheckpoint(path, tab, r.cfg.Device); err == nil {
+			est.Instrument(view)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if r.pool != nil {
+			est.SetPool(r.pool)
+		}
+		sc := serveCfg
+		sc.Metrics = view
+		sc.MetricPrefix = "" // the view already carries the model prefix
+		return core.NewServer(est, sc), nil
+	})
 }
 
 // AdmitSharded admits a sharded model: the sample is partitioned across
@@ -300,8 +323,40 @@ func (r *Registry) Admit(key Key, tab *table.Table, buildCfg core.Config, serveC
 // serveCfg.Precision selects every shard's serving tier. Sharded models
 // get the same lifecycle as plain ones: per-model metric namespace (plus
 // shard<i>. sub-namespaces), checkpoint rotation (one atomic multi-frame
-// file covering all shards), eviction, and restore-on-demand.
+// file covering all shards), eviction, and restore-on-demand. They serve
+// without the request coalescer.
 func (r *Registry) AdmitSharded(key Key, tab *table.Table, buildCfg core.Config, shards int, serveCfg core.ServeConfig) error {
+	cfg := shard.Config{
+		Shards:     shards,
+		SampleSize: buildCfg.SampleSize,
+		Seed:       buildCfg.Seed,
+		Loss:       buildCfg.Loss,
+		Learner:    buildCfg.Learner,
+		Karma:      buildCfg.Karma,
+		Precision:  serveCfg.Precision,
+		Workers:    r.cfg.Workers,
+		Pool:       r.pool,
+		Metrics:    r.met.WithPrefix(key.MetricPrefix()),
+		Faults:     buildCfg.Faults,
+	}
+	return r.admit(key, tab, func(path string) (model, error) {
+		var g *shard.Group
+		var err error
+		if path == "" {
+			g, err = shard.Build(tab, cfg)
+		} else {
+			g, err = shard.Restore(path, tab, cfg)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
+	})
+}
+
+// admit validates and registers a new entry for key, then builds its model
+// with open under the entry's lifecycle lock.
+func (r *Registry) admit(key Key, tab *table.Table, open func(path string) (model, error)) error {
 	if len(key.Columns) == 0 {
 		return fmt.Errorf("registry: key %q has no columns", key.Table)
 	}
@@ -312,20 +367,7 @@ func (r *Registry) AdmitSharded(key Key, tab *table.Table, buildCfg core.Config,
 		return fmt.Errorf("registry: key %v names %d columns but table has %d",
 			key, len(key.Columns), tab.Dims())
 	}
-	ent := &entry{
-		key: key, tab: tab, serveCfg: serveCfg, sharded: true,
-		shardCfg: shard.Config{
-			Shards:     shards,
-			SampleSize: buildCfg.SampleSize,
-			Seed:       buildCfg.Seed,
-			Loss:       buildCfg.Loss,
-			Learner:    buildCfg.Learner,
-			Karma:      buildCfg.Karma,
-			Precision:  serveCfg.Precision,
-			Workers:    r.cfg.Workers,
-			Faults:     buildCfg.Faults,
-		},
-	}
+	ent := &entry{key: key, tab: tab, open: open}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -339,7 +381,10 @@ func (r *Registry) AdmitSharded(key Key, tab *table.Table, buildCfg core.Config,
 	r.mu.Unlock()
 
 	ent.mu.Lock()
-	err := r.buildGroupLocked(ent)
+	m, err := open("")
+	if err == nil {
+		ent.install(m)
+	}
 	ent.mu.Unlock()
 	if err != nil {
 		r.mu.Lock()
@@ -349,20 +394,6 @@ func (r *Registry) AdmitSharded(key Key, tab *table.Table, buildCfg core.Config,
 	}
 	r.admissions.Inc()
 	r.enforceResidency(key)
-	return nil
-}
-
-// buildGroupLocked builds the shard group for ent; caller holds ent.mu.
-func (r *Registry) buildGroupLocked(ent *entry) error {
-	cfg := ent.shardCfg
-	cfg.Metrics = r.met.WithPrefix(ent.key.MetricPrefix())
-	cfg.Pool = r.pool
-	g, err := shard.Build(ent.tab, cfg)
-	if err != nil {
-		return err
-	}
-	ent.grp.Store(g)
-	ent.touch()
 	return nil
 }
 
@@ -394,34 +425,6 @@ func (r *Registry) AdmitJoin(key Key, fkTab, pkTab *table.Table, fkCol, pkCol, n
 	return r.Admit(key, jt, buildCfg, serveCfg)
 }
 
-// buildLocked builds the estimator and server for ent; caller holds ent.mu.
-func (r *Registry) buildLocked(ent *entry, buildCfg core.Config) error {
-	view := r.met.WithPrefix(ent.key.MetricPrefix())
-	buildCfg.Metrics = view
-	buildCfg.Workers = 0 // shared pool installed below
-	if buildCfg.Device == nil {
-		buildCfg.Device = r.cfg.Device
-	}
-	est, err := core.Build(ent.tab, buildCfg)
-	if err != nil {
-		return err
-	}
-	if r.pool != nil {
-		est.SetPool(r.pool)
-	}
-	r.installLocked(ent, est, view)
-	return nil
-}
-
-// installLocked wraps est in a server and publishes it; caller holds ent.mu.
-func (r *Registry) installLocked(ent *entry, est *core.Estimator, view *metrics.Registry) {
-	sc := ent.serveCfg
-	sc.Metrics = view
-	sc.MetricPrefix = "" // the view already carries the model prefix
-	ent.srv.Store(core.NewServer(est, sc))
-	ent.touch()
-}
-
 // entryFor resolves a key; the registry lock is held only for the map read.
 func (r *Registry) entryFor(key Key) (*entry, error) {
 	r.mu.Lock()
@@ -436,137 +439,54 @@ func (r *Registry) entryFor(key Key) (*entry, error) {
 	return ent, nil
 }
 
-// server returns the live server for ent, restoring from the newest
+// serving returns ent's live handle, restoring it from the newest
 // checkpoint when the model was evicted. The fast path is one atomic load.
-func (r *Registry) server(ent *entry) (*core.Server, error) {
-	if s := ent.srv.Load(); s != nil {
-		return s, nil
+func (r *Registry) serving(ent *entry) (model, error) {
+	if m := ent.current(); m != nil {
+		return m, nil
 	}
 	ent.mu.Lock()
-	s := ent.srv.Load()
-	if s == nil {
-		var err error
-		if s, err = r.restoreLocked(ent); err != nil {
-			ent.mu.Unlock()
-			return nil, err
-		}
-	}
+	err := r.residentLocked(ent)
+	m := ent.current()
 	ent.mu.Unlock()
-	r.enforceResidency(ent.key)
-	return s, nil
-}
-
-// group returns the live shard group for ent, restoring from the newest
-// checkpoint when the model was evicted. The fast path is one atomic load.
-func (r *Registry) group(ent *entry) (*shard.Group, error) {
-	if g := ent.grp.Load(); g != nil {
-		return g, nil
-	}
-	ent.mu.Lock()
-	g := ent.grp.Load()
-	if g == nil {
-		var err error
-		if g, err = r.restoreGroupLocked(ent); err != nil {
-			ent.mu.Unlock()
-			return nil, err
-		}
-	}
-	ent.mu.Unlock()
-	r.enforceResidency(ent.key)
-	return g, nil
-}
-
-// restoreGroupLocked rebuilds ent's shard group from its newest checkpoint
-// and, for a model with ingestion attached, re-attaches a bridge at the
-// restored cursor; caller holds ent.mu.
-func (r *Registry) restoreGroupLocked(ent *entry) (*shard.Group, error) {
-	if len(ent.ckpts) == 0 {
-		return nil, fmt.Errorf("registry: model %v is not resident and has no checkpoint", ent.key)
-	}
-	cfg := ent.shardCfg
-	cfg.Metrics = r.met.WithPrefix(ent.key.MetricPrefix())
-	cfg.Pool = r.pool
-	g, err := shard.Restore(ent.ckpts[len(ent.ckpts)-1], ent.tab, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("registry: restore %v: %w", ent.key, err)
+		return nil, err
 	}
-	ent.grp.Store(g)
-	ent.touch()
-	r.restores.Inc()
-	if ent.ingOn.Load() {
-		if err := r.attachIngestLocked(ent); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	r.enforceResidency(ent.key)
+	return m, nil
 }
 
-// residentLocked ensures ent has a live serving handle, restoring from the
-// newest checkpoint when needed; caller holds ent.mu.
+// residentLocked ensures ent has a live serving handle, restoring it from
+// the newest checkpoint when needed, and re-attaches ingestion at the
+// restored cursor for a model that had it; caller holds ent.mu.
+// Restoration is bit-identical continuation (core/persist.go,
+// shard/persist.go).
 func (r *Registry) residentLocked(ent *entry) error {
 	if ent.resident() {
 		return nil
 	}
-	var err error
-	if ent.sharded {
-		_, err = r.restoreGroupLocked(ent)
-	} else {
-		_, err = r.restoreLocked(ent)
-	}
-	return err
-}
-
-// restoreLocked rebuilds ent's server from its newest checkpoint; caller
-// holds ent.mu. Restoration is bit-identical continuation (persist.go), and
-// the restored model is re-instrumented under the same metric namespace and
-// rewired to the shared pool — registries and pools are not persisted state.
-func (r *Registry) restoreLocked(ent *entry) (*core.Server, error) {
 	if len(ent.ckpts) == 0 {
-		return nil, fmt.Errorf("registry: model %v is not resident and has no checkpoint", ent.key)
+		return fmt.Errorf("registry: model %v is not resident and has no checkpoint", ent.key)
 	}
-	path := ent.ckpts[len(ent.ckpts)-1]
-	est, err := core.RestoreCheckpoint(path, ent.tab, r.cfg.Device)
+	m, err := ent.open(ent.ckpts[len(ent.ckpts)-1])
 	if err != nil {
-		return nil, fmt.Errorf("registry: restore %v: %w", ent.key, err)
+		return fmt.Errorf("registry: restore %v: %w", ent.key, err)
 	}
-	view := r.met.WithPrefix(ent.key.MetricPrefix())
-	est.Instrument(view)
-	if r.pool != nil {
-		est.SetPool(r.pool)
-	}
-	r.installLocked(ent, est, view)
+	ent.install(m)
 	r.restores.Inc()
 	if ent.ingOn.Load() {
-		if err := r.attachIngestLocked(ent); err != nil {
-			return nil, err
-		}
+		return r.attachIngestLocked(ent)
 	}
-	return ent.srv.Load(), nil
+	return nil
 }
 
 // Estimate routes q to key's model, restoring it first if it was evicted.
-// Estimates are served exactly as by core.Server — coalesced and lock-free
-// from the model snapshot — so an ANALYZE or checkpoint on any model (this
-// one included) does not block them.
+// Estimates are served exactly as by the model's handle — coalesced and
+// lock-free from the model snapshot for an unsharded model — so an ANALYZE
+// or checkpoint on any model (this one included) does not block them.
 func (r *Registry) Estimate(key Key, q query.Range) (float64, error) {
-	ent, err := r.entryFor(key)
-	if err != nil {
-		return 0, err
-	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return 0, err
-		}
-		ent.touch()
-		return g.Estimate(q)
-	}
-	s, err := r.server(ent)
-	if err != nil {
-		return 0, err
-	}
-	ent.touch()
-	return s.Estimate(q)
+	est, _, err := r.EstimateContextDetail(context.Background(), key, q)
+	return est, err
 }
 
 // EstimateContext is Estimate with deadline/cancellation propagation: the
@@ -592,21 +512,12 @@ func (r *Registry) EstimateContextDetail(ctx context.Context, key Key, q query.R
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return 0, false, err
-		}
-		ent.touch()
-		return g.EstimateDetail(ctx, q)
-	}
-	s, err := r.server(ent)
+	m, err := r.serving(ent)
 	if err != nil {
 		return 0, false, err
 	}
 	ent.touch()
-	est, err := s.EstimateContext(ctx, q)
-	return est, false, err
+	return m.EstimateDetail(ctx, q)
 }
 
 // Feedback routes an observed true selectivity to key's model. A feedback
@@ -619,25 +530,15 @@ func (r *Registry) Feedback(key Key, q query.Range, actual float64) error {
 		return err
 	}
 	ent.recordFeedback(q, actual)
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return err
-		}
-		ent.touch()
-		return g.Feedback(q, actual)
-	}
-	s, err := r.server(ent)
+	m, err := r.serving(ent)
 	if err != nil {
 		return err
 	}
 	ent.touch()
-	return s.Feedback(q, actual)
+	return m.Feedback(q, actual)
 }
 
-// FeedbackBatch routes a slice of observations to key's model. For a
-// sharded model the records apply one at a time (the group's feedback
-// path includes karma sample maintenance, which is per-query).
+// FeedbackBatch routes a slice of observations to key's model.
 func (r *Registry) FeedbackBatch(key Key, fbs []query.Feedback) error {
 	ent, err := r.entryFor(key)
 	if err != nil {
@@ -646,54 +547,29 @@ func (r *Registry) FeedbackBatch(key Key, fbs []query.Feedback) error {
 	for _, fb := range fbs {
 		ent.recordFeedback(fb.Query, fb.Actual)
 	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return err
-		}
-		ent.touch()
-		for _, fb := range fbs {
-			if err := g.Feedback(fb.Query, fb.Actual); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	s, err := r.server(ent)
+	m, err := r.serving(ent)
 	if err != nil {
 		return err
 	}
 	ent.touch()
-	return s.FeedbackBatch(fbs)
+	return m.FeedbackBatch(fbs)
 }
 
 // Analyze synchronously re-optimizes key's model over fbs (the ANALYZE
-// step). It runs under that model's writer lock only: estimates for the
-// same model keep serving the pre-ANALYZE snapshot, and other models are
+// step). It runs under that model's writer lock only (a sharded model
+// optimizes over one shard's sample, round-robin): estimates for the same
+// model keep serving the pre-ANALYZE snapshot, and other models are
 // entirely unaffected.
 func (r *Registry) Analyze(key Key, fbs []query.Feedback) error {
 	ent, err := r.entryFor(key)
 	if err != nil {
 		return err
 	}
-	if ent.sharded {
-		g, err := r.group(ent)
-		if err != nil {
-			return err
-		}
-		// Round-robin over the shards: each ANALYZE optimizes over one
-		// shard's sample while the others keep serving undisturbed.
-		err = g.Analyze(fbs)
-		if err == nil {
-			r.analyzes.Inc()
-		}
-		return err
-	}
-	s, err := r.server(ent)
+	m, err := r.serving(ent)
 	if err != nil {
 		return err
 	}
-	err = s.Reoptimize(fbs)
+	err = m.Reoptimize(fbs)
 	if err == nil {
 		r.analyzes.Inc()
 	}
@@ -739,32 +615,24 @@ func (r *Registry) CheckpointNow(key Key) error {
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	if g := ent.grp.Load(); g != nil {
-		return r.checkpointLocked(ent, g)
-	}
-	s := ent.srv.Load()
-	if s == nil {
+	m := ent.current()
+	if m == nil {
 		return nil // evicted: its checkpoint is already the latest state
 	}
-	return r.checkpointLocked(ent, s)
+	return r.checkpointLocked(ent, m)
 }
 
-// checkpointer is the one method checkpointLocked needs; both core.Server
-// and shard.Group satisfy it (a sharded group writes one multi-frame file
-// covering all its shards atomically).
-type checkpointer interface {
-	Checkpoint(path string) error
-}
-
-// checkpointLocked writes one rotation checkpoint; caller holds ent.mu.
-func (r *Registry) checkpointLocked(ent *entry, s checkpointer) error {
+// checkpointLocked writes one rotation checkpoint (a sharded group writes
+// one multi-frame file covering all its shards atomically); caller holds
+// ent.mu.
+func (r *Registry) checkpointLocked(ent *entry, m model) error {
 	if r.cfg.CheckpointDir == "" {
 		return errors.New("registry: no CheckpointDir configured")
 	}
 	ent.ckptSeq++
 	path := filepath.Join(r.cfg.CheckpointDir,
 		fmt.Sprintf("%s-%06d.ckpt", ent.key.fileStem(), ent.ckptSeq))
-	if err := s.Checkpoint(path); err != nil {
+	if err := m.Checkpoint(path); err != nil {
 		return err
 	}
 	ent.ckpts = append(ent.ckpts, path)
@@ -798,39 +666,32 @@ func (r *Registry) evict(ent *entry) error {
 	// the frame must capture every buffered mutation and the matching feed
 	// cursor. Restore-on-demand re-attaches a fresh bridge at that cursor.
 	ent.closeIngestLocked()
-	if g := ent.grp.Load(); g != nil {
-		// Sharded: one multi-frame checkpoint covers every shard atomically,
-		// then the whole group (and its shard<i>.* sub-namespaces, nested
-		// under the model prefix) is torn down.
-		if err := r.checkpointLocked(ent, g); err != nil {
-			return fmt.Errorf("registry: evict %v: %w", ent.key, err)
-		}
-		ent.grp.Store(nil)
-		g.Close()
-		r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
-		r.evictions.Inc()
-		return nil
-	}
-	s := ent.srv.Load()
-	if s == nil {
+	m := ent.current()
+	if m == nil {
 		return nil
 	}
 	// Checkpoint before detaching: restore-on-next-estimate (which blocks on
 	// ent.mu until this returns) must see the final pre-eviction state.
-	if err := r.checkpointLocked(ent, s); err != nil {
+	if err := r.checkpointLocked(ent, m); err != nil {
 		return fmt.Errorf("registry: evict %v: %w", ent.key, err)
 	}
-	ent.srv.Store(nil)
-	s.DetachFeed() // stop change-feed callbacks into the torn-down server
-	s.Close()
-	// Tear down the model's whole metric namespace: core.health,
-	// core.snapshot_age_seconds, bandwidth drift, the serve gauges — every
-	// gauge func the model's layers registered under its prefix. Counters
-	// and histograms stay (monotonic history survives eviction); a restore
-	// re-registers the gauge funcs against the new instances.
-	r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
+	r.teardownLocked(ent, m)
 	r.evictions.Inc()
 	return nil
+}
+
+// teardownLocked detaches ent's live handle m: no more change-feed
+// callbacks, no coalescer, and no gauge funcs under the model's metric
+// namespace — core.health, core.snapshot_age_seconds, bandwidth drift, the
+// serve gauges, the shard<i>.* gauges nested under the model prefix.
+// Counters and histograms stay (monotonic history survives eviction); a
+// restore re-registers the gauge funcs against the new instances. Caller
+// holds ent.mu.
+func (r *Registry) teardownLocked(ent *entry, m model) {
+	ent.cur.Store(nil)
+	m.DetachFeed()
+	m.Close()
+	r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
 }
 
 // enforceResidency evicts least-recently-used models until the resident
@@ -886,10 +747,8 @@ func (r *Registry) Sweep() {
 		}
 		if r.cfg.CheckpointEvery > 0 && now-ent.lastCkpt.Load() > int64(r.cfg.CheckpointEvery) {
 			ent.mu.Lock()
-			if g := ent.grp.Load(); g != nil {
-				_ = r.checkpointLocked(ent, g)
-			} else if s := ent.srv.Load(); s != nil {
-				_ = r.checkpointLocked(ent, s)
+			if m := ent.current(); m != nil {
+				_ = r.checkpointLocked(ent, m)
 			}
 			ent.mu.Unlock()
 		}
@@ -959,15 +818,13 @@ func (r *Registry) Status() []ModelStatus {
 	out := make([]ModelStatus, 0, len(entries))
 	for _, ent := range entries {
 		st := ModelStatus{Key: ent.key}
-		if g := ent.grp.Load(); g != nil {
+		if m := ent.current(); m != nil {
 			st.Resident = true
-			st.Health = g.Health()
-			st.Queries = int(g.Queries())
-			st.Shards = g.Shards()
-		} else if s := ent.srv.Load(); s != nil {
-			st.Resident = true
-			st.Health = s.Health()
-			st.Queries = s.Queries()
+			st.Health = m.Health()
+			st.Queries = m.Queries()
+			if g, ok := m.(interface{ Shards() int }); ok {
+				st.Shards = g.Shards()
+			}
 		}
 		if br := ent.bridge.Load(); br != nil {
 			st.Ingesting = true
@@ -1037,21 +894,11 @@ func (r *Registry) Close() {
 		// Drain the ingestion ring into the model before the final
 		// checkpoint, exactly as eviction does.
 		ent.closeIngestLocked()
-		if g := ent.grp.Load(); g != nil {
+		if m := ent.current(); m != nil {
 			if r.cfg.CheckpointDir != "" {
-				_ = r.checkpointLocked(ent, g)
+				_ = r.checkpointLocked(ent, m)
 			}
-			ent.grp.Store(nil)
-			g.Close()
-			r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
-		} else if s := ent.srv.Load(); s != nil {
-			if r.cfg.CheckpointDir != "" {
-				_ = r.checkpointLocked(ent, s)
-			}
-			ent.srv.Store(nil)
-			s.DetachFeed()
-			s.Close()
-			r.met.UnregisterGaugeFuncsPrefix(ent.key.MetricPrefix())
+			r.teardownLocked(ent, m)
 		}
 		ent.mu.Unlock()
 	}

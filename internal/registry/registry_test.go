@@ -70,6 +70,24 @@ func buildCfg(seed int64) core.Config {
 	return core.Config{Mode: core.Adaptive, SampleSize: 64, Seed: seed, DisableMaintenance: true}
 }
 
+// modelShapes are the two model shapes the lifecycle tests admit: an
+// unsharded model served by core.Server and a K=2 shard.Group. gauges are
+// gauge funcs the shape registers under its metric prefix; moved is an
+// instrument its first estimate moves.
+var modelShapes = []struct {
+	name   string
+	admit  func(r *Registry, key Key, tab *table.Table, cfg core.Config, sc core.ServeConfig) error
+	gauges []string
+	moved  string
+}{
+	{"unsharded", (*Registry).Admit,
+		[]string{"core.health", "core.snapshot_age_seconds", "serve.queue_depth"}, "core.estimate_seconds"},
+	{"sharded", func(r *Registry, key Key, tab *table.Table, cfg core.Config, sc core.ServeConfig) error {
+		cfg.SampleSize = 512 // two chunks, one per shard, wherever the table is large enough
+		return r.AdmitSharded(key, tab, cfg, 2, sc)
+	}, []string{"shard.shards", "shard.sample_size", "shard0.size", "shard1.size"}, "shard.gathers"},
+}
+
 func TestKeyStringParseRoundTrip(t *testing.T) {
 	for _, k := range []Key{
 		NewKey("orders", 0),
@@ -124,81 +142,89 @@ func TestProject(t *testing.T) {
 // transparent restore must reproduce every estimate bit-for-bit
 // (checkpoint restoration is bit-identical continuation).
 func TestLifecycleEvictRestoreBitIdentical(t *testing.T) {
-	tab := buildTable(t, 400, 2, 11)
-	r := New(Config{CheckpointDir: t.TempDir(), Metrics: metrics.New()})
-	defer r.Close()
+	for _, shape := range modelShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			tab := buildTable(t, 400, 2, 11)
+			r := New(Config{CheckpointDir: t.TempDir(), Metrics: metrics.New()})
+			defer r.Close()
 
-	key := NewKey("t", 0, 1)
-	if err := r.Admit(key, tab, buildCfg(7), core.ServeConfig{MaxBatch: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Admit(key, tab, buildCfg(7), core.ServeConfig{}); !errors.Is(err, ErrDuplicateModel) {
-		t.Fatalf("duplicate admit: err = %v, want ErrDuplicateModel", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for _, fb := range feedbackSet(t, tab, rng, 20) {
-		if _, err := r.Estimate(key, fb.Query); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Feedback(key, fb.Query, fb.Actual); err != nil {
-			t.Fatal(err)
-		}
-	}
-	qs := make([]query.Range, 30)
-	want := make([]float64, len(qs))
-	for i := range qs {
-		qs[i] = dataQuery(tab, rng)
-		var err error
-		if want[i], err = r.Estimate(key, qs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+			key := NewKey("t", 0, 1)
+			if err := shape.admit(r, key, tab, buildCfg(7), core.ServeConfig{MaxBatch: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := shape.admit(r, key, tab, buildCfg(7), core.ServeConfig{}); !errors.Is(err, ErrDuplicateModel) {
+				t.Fatalf("duplicate admit: err = %v, want ErrDuplicateModel", err)
+			}
+			rng := rand.New(rand.NewSource(3))
+			for _, fb := range feedbackSet(t, tab, rng, 20) {
+				if _, err := r.Estimate(key, fb.Query); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Feedback(key, fb.Query, fb.Actual); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qs := make([]query.Range, 30)
+			want := make([]float64, len(qs))
+			for i := range qs {
+				qs[i] = dataQuery(tab, rng)
+				var err error
+				if want[i], err = r.Estimate(key, qs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	if err := r.Evict(key); err != nil {
-		t.Fatal(err)
-	}
-	if r.IsResident(key) {
-		t.Fatal("model still resident after Evict")
-	}
-	for i, q := range qs {
-		got, err := r.Estimate(key, q) // transparent restore on first call
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want[i]) {
-			t.Errorf("query %d: restored estimate %v != pre-eviction %v", i, got, want[i])
-		}
-	}
-	if !r.IsResident(key) {
-		t.Error("model not resident after restore")
-	}
+			if err := r.Evict(key); err != nil {
+				t.Fatal(err)
+			}
+			if r.IsResident(key) {
+				t.Fatal("model still resident after Evict")
+			}
+			for i, q := range qs {
+				got, err := r.Estimate(key, q) // transparent restore on first call
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("query %d: restored estimate %v != pre-eviction %v", i, got, want[i])
+				}
+			}
+			if !r.IsResident(key) {
+				t.Error("model not resident after restore")
+			}
 
-	if _, err := r.Estimate(NewKey("nope", 0), qs[0]); !errors.Is(err, ErrUnknownModel) {
-		t.Errorf("unknown key: err = %v, want ErrUnknownModel", err)
+			if _, err := r.Estimate(NewKey("nope", 0), qs[0]); !errors.Is(err, ErrUnknownModel) {
+				t.Errorf("unknown key: err = %v, want ErrUnknownModel", err)
+			}
+		})
 	}
 }
 
 // TestCheckpointRotationKeepsLastK: repeated checkpoints prune old files.
 func TestCheckpointRotationKeepsLastK(t *testing.T) {
-	dir := t.TempDir()
-	tab := buildTable(t, 200, 2, 5)
-	r := New(Config{CheckpointDir: dir, KeepCheckpoints: 2})
-	defer r.Close()
-	key := NewKey("rot", 0, 1)
-	if err := r.Admit(key, tab, buildCfg(1), core.ServeConfig{MaxBatch: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := r.CheckpointNow(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Errorf("rotation left %d files %v, want 2", len(files), files)
+	for _, shape := range modelShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tab := buildTable(t, 200, 2, 5)
+			r := New(Config{CheckpointDir: dir, KeepCheckpoints: 2})
+			defer r.Close()
+			key := NewKey("rot", 0, 1)
+			if err := shape.admit(r, key, tab, buildCfg(1), core.ServeConfig{MaxBatch: 1}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := r.CheckpointNow(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != 2 {
+				t.Errorf("rotation left %d files %v, want 2", len(files), files)
+			}
+		})
 	}
 }
 
@@ -252,60 +278,65 @@ func TestLRUAndIdleEviction(t *testing.T) {
 // funcs and leaves the other's (the multi-model generalization of the
 // serve.queue_depth collision bug).
 func TestPerModelMetricNamespace(t *testing.T) {
-	met := metrics.New()
-	tab := buildTable(t, 300, 2, 21)
-	r := New(Config{CheckpointDir: t.TempDir(), Metrics: met})
-	defer r.Close()
-	a, b := NewKey("t", 0, 1), NewKey("t", 1, 0)
-	for i, k := range []Key{a, b} {
-		pt, err := Project(tab, k.Columns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Admit(k, pt, buildCfg(int64(i)), core.ServeConfig{MaxBatch: 8}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Estimate(k, dataQuery(pt, rand.New(rand.NewSource(int64(i))))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := met.Snapshot()
-	for _, k := range []Key{a, b} {
-		for _, g := range []string{"core.health", "serve.queue_depth"} {
-			if _, ok := snap.Gauges[k.MetricPrefix()+g]; !ok {
-				t.Errorf("gauge %s%s missing from shared registry", k.MetricPrefix(), g)
+	for _, shape := range modelShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			met := metrics.New()
+			tab := buildTable(t, 300, 2, 21)
+			r := New(Config{CheckpointDir: t.TempDir(), Metrics: met})
+			defer r.Close()
+			a, b := NewKey("t", 0, 1), NewKey("t", 1, 0)
+			for i, k := range []Key{a, b} {
+				pt, err := Project(tab, k.Columns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := shape.admit(r, k, pt, buildCfg(int64(i)), core.ServeConfig{MaxBatch: 8}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Estimate(k, dataQuery(pt, rand.New(rand.NewSource(int64(i))))); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if _, ok := snap.Histograms[k.MetricPrefix()+"core.estimate_seconds"]; !ok {
-			t.Errorf("histogram %score.estimate_seconds missing", k.MetricPrefix())
-		}
-	}
-	for _, g := range []string{"registry.models_resident", "registry.analyze_queue_depth"} {
-		if _, ok := snap.Gauges[g]; !ok {
-			t.Errorf("registry gauge %s missing", g)
-		}
-	}
-	if got := snap.Gauges["registry.models_resident"]; got != 2 {
-		t.Errorf("models_resident = %v, want 2", got)
-	}
+			snap := met.Snapshot()
+			for _, k := range []Key{a, b} {
+				for _, g := range shape.gauges {
+					if _, ok := snap.Gauges[k.MetricPrefix()+g]; !ok {
+						t.Errorf("gauge %s%s missing from shared registry", k.MetricPrefix(), g)
+					}
+				}
+				_, isHist := snap.Histograms[k.MetricPrefix()+shape.moved]
+				if n := snap.Counters[k.MetricPrefix()+shape.moved]; !isHist && n == 0 {
+					t.Errorf("instrument %s%s missing", k.MetricPrefix(), shape.moved)
+				}
+			}
+			for _, g := range []string{"registry.models_resident", "registry.analyze_queue_depth"} {
+				if _, ok := snap.Gauges[g]; !ok {
+					t.Errorf("registry gauge %s missing", g)
+				}
+			}
+			if got := snap.Gauges["registry.models_resident"]; got != 2 {
+				t.Errorf("models_resident = %v, want 2", got)
+			}
 
-	if err := r.Evict(a); err != nil {
-		t.Fatal(err)
-	}
-	// Gauge FUNCS must be torn down (a dead closure reports stale state and
-	// pins the evicted model); plain gauges, counters, and histograms are
-	// inert values and survive like any other monotonic history.
-	snap = met.Snapshot()
-	for _, g := range []string{"core.health", "core.snapshot_age_seconds", "serve.queue_depth"} {
-		if _, ok := snap.Gauges[a.MetricPrefix()+g]; ok {
-			t.Errorf("evicted model's gauge func %s%s still registered", a.MetricPrefix(), g)
-		}
-	}
-	if _, ok := snap.Gauges[b.MetricPrefix()+"serve.queue_depth"]; !ok {
-		t.Error("surviving model's queue_depth gauge was torn down by the other's eviction")
-	}
-	if got := snap.Gauges["registry.models_resident"]; got != 1 {
-		t.Errorf("models_resident after eviction = %v, want 1", got)
+			if err := r.Evict(a); err != nil {
+				t.Fatal(err)
+			}
+			// Gauge FUNCS must be torn down (a dead closure reports stale state and
+			// pins the evicted model); plain gauges, counters, and histograms are
+			// inert values and survive like any other monotonic history.
+			snap = met.Snapshot()
+			for _, g := range shape.gauges {
+				if _, ok := snap.Gauges[a.MetricPrefix()+g]; ok {
+					t.Errorf("evicted model's gauge func %s%s still registered", a.MetricPrefix(), g)
+				}
+				if _, ok := snap.Gauges[b.MetricPrefix()+g]; !ok {
+					t.Errorf("surviving model's gauge func %s%s was torn down by the other's eviction", b.MetricPrefix(), g)
+				}
+			}
+			if got := snap.Gauges["registry.models_resident"]; got != 1 {
+				t.Errorf("models_resident after eviction = %v, want 1", got)
+			}
+		})
 	}
 }
 
@@ -537,33 +568,36 @@ func TestConcurrentLifecycle(t *testing.T) {
 // TestCloseCheckpointsAndRejects: Close checkpoints resident models, tears
 // down instruments, and subsequent calls fail typed.
 func TestCloseCheckpointsAndRejects(t *testing.T) {
-	dir := t.TempDir()
-	met := metrics.New()
-	tab := buildTable(t, 150, 1, 81)
-	r := New(Config{CheckpointDir: dir, Metrics: met})
-	key := NewKey("t", 0)
-	if err := r.Admit(key, tab, buildCfg(1), core.ServeConfig{MaxBatch: 4, Metrics: met}); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	r.Close() // idempotent
-	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if len(files) == 0 {
-		t.Error("Close did not checkpoint the resident model")
-	}
-	if _, err := r.Estimate(key, dataQuery(tab, rand.New(rand.NewSource(1)))); !errors.Is(err, ErrClosed) {
-		t.Errorf("estimate after Close: err = %v, want ErrClosed", err)
-	}
-	snap := met.Snapshot()
-	for _, g := range []string{
-		key.MetricPrefix() + "core.health",
-		key.MetricPrefix() + "serve.queue_depth",
-		"registry.models_resident",
-		"registry.analyze_queue_depth",
-	} {
-		if _, ok := snap.Gauges[g]; ok {
-			t.Errorf("gauge func %s survives registry Close", g)
-		}
+	for _, shape := range modelShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			met := metrics.New()
+			tab := buildTable(t, 150, 1, 81)
+			r := New(Config{CheckpointDir: dir, Metrics: met})
+			key := NewKey("t", 0)
+			if err := shape.admit(r, key, tab, buildCfg(1), core.ServeConfig{MaxBatch: 4, Metrics: met}); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			r.Close() // idempotent
+			files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+			if len(files) == 0 {
+				t.Error("Close did not checkpoint the resident model")
+			}
+			if _, err := r.Estimate(key, dataQuery(tab, rand.New(rand.NewSource(1)))); !errors.Is(err, ErrClosed) {
+				t.Errorf("estimate after Close: err = %v, want ErrClosed", err)
+			}
+			snap := met.Snapshot()
+			gauges := []string{"registry.models_resident", "registry.analyze_queue_depth"}
+			for _, g := range shape.gauges {
+				gauges = append(gauges, key.MetricPrefix()+g)
+			}
+			for _, g := range gauges {
+				if _, ok := snap.Gauges[g]; ok {
+					t.Errorf("gauge func %s survives registry Close", g)
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"kdesel/internal/checkpoint"
-	"kdesel/internal/kde"
 	"kdesel/internal/learner"
 	"kdesel/internal/mathx"
 	"kdesel/internal/sample"
@@ -63,15 +62,13 @@ func (g *Group) Checkpoint(path string) error {
 		Seed:      g.cfg.Seed,
 		H:         append([]float64(nil), g.h...),
 		Draws:     g.src.Draws(),
+		ResSeen:   g.maint.Res.Seen(),
 		Learner:   g.learn.State(),
-		Karma:     g.karma.Scores(),
+		Karma:     g.maint.Karma.Scores(),
 		Analyzes:  g.analyzes,
 		PinScale:  g.pinScale,
 		PinOff:    g.pinOff,
-		IngestSeq: g.ingestSeq,
-	}
-	if g.res != nil {
-		st.ResSeen = g.res.Seen()
+		IngestSeq: g.maint.Cursor,
 	}
 	frames := make([][]byte, 0, g.k+1)
 	f0, err := checkpoint.MarshalMeta(st, uint32(g.prec))
@@ -126,62 +123,43 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 	prec := mathx.Precision(meta & 0xff)
 
 	g := &Group{
-		cfg:       cfg,
-		tab:       tab,
-		d:         st.D,
-		k:         st.K,
-		lf:        cfg.loss(),
-		pool:      cfg.pool(),
-		faults:    cfg.Faults,
-		sTotal:    st.STotal,
-		h:         append([]float64(nil), st.H...),
-		prec:      prec,
-		pinScale:  st.PinScale,
-		pinOff:    st.PinOff,
-		analyzes:  st.Analyzes,
-		ingestSeq: st.IngestSeq,
+		cfg:      cfg,
+		tab:      tab,
+		d:        st.D,
+		k:        st.K,
+		lf:       cfg.loss(),
+		pool:     cfg.pool(),
+		faults:   cfg.Faults,
+		sTotal:   st.STotal,
+		h:        append([]float64(nil), st.H...),
+		prec:     prec,
+		pinScale: st.PinScale,
+		pinOff:   st.PinOff,
+		analyzes: st.Analyzes,
 	}
 	g.cfg.Seed = st.Seed
-	g.shards = make([]*shardState, st.K)
+	parts := make([][]float64, st.K)
 	total := 0
-	for i := range g.shards {
-		g.shards[i] = &shardState{}
+	for i := range parts {
 		var fr shardFrame
 		if err := checkpoint.Unmarshal(frames[i+1], &fr); err != nil {
 			return nil, fmt.Errorf("shard %d frame: %w", i, err)
 		}
-		if len(fr.Data) == 0 {
-			continue
-		}
-		est, err := kde.New(st.D, nil)
-		if err != nil {
-			return nil, err
-		}
-		est.SetPool(g.pool)
-		if err := est.SetSampleFlat(fr.Data); err != nil {
-			return nil, fmt.Errorf("shard %d sample: %w", i, err)
-		}
-		if err := est.PinQuantConstants(st.PinScale, st.PinOff); err != nil {
-			return nil, err
-		}
-		if err := est.SetBandwidth(g.h); err != nil {
-			return nil, err
-		}
-		if prec != mathx.Float64 {
-			est.SetPrecision(prec)
-		}
-		g.shards[i].est = est
+		parts[i] = fr.Data
 		total += len(fr.Data) / st.D
+	}
+	if g.shards, err = buildShards(parts, st.D, g.pool, g.h, st.PinScale, st.PinOff, prec); err != nil {
+		return nil, err
 	}
 	if total != st.STotal {
 		return nil, fmt.Errorf("%w: shard frames hold %d points, group frame says %d",
 			checkpoint.ErrCorrupt, total, st.STotal)
 	}
 
-	src := newCountingSource(st.Seed + 1)
+	src := sample.NewCountingSource(st.Seed + 1)
 	src.FastForward(st.Draws)
 	g.src = src
-	g.rng = rand.New(src)
+	g.maint = sample.Maintainer{Rng: rand.New(src), Cursor: st.IngestSeq}
 	if g.learn, err = learner.NewRMSprop(st.D, cfg.Learner); err != nil {
 		return nil, err
 	}
@@ -192,13 +170,13 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 	if kcfg.Loss == nil {
 		kcfg.Loss = g.lf
 	}
-	if g.karma, err = sample.NewKarma(st.STotal, kcfg); err != nil {
+	if g.maint.Karma, err = sample.NewKarma(st.STotal, kcfg); err != nil {
 		return nil, err
 	}
-	if err := g.karma.RestoreScores(st.Karma); err != nil {
+	if err := g.maint.Karma.RestoreScores(st.Karma); err != nil {
 		return nil, err
 	}
-	if g.res, err = sample.NewReservoir(st.STotal, st.ResSeen, g.rng); err != nil {
+	if g.maint.Res, err = sample.NewReservoir(st.STotal, st.ResSeen, g.maint.Rng); err != nil {
 		return nil, err
 	}
 	tab.Subscribe(g)

@@ -195,11 +195,11 @@ type Group struct {
 	sTotal int
 	h      []float64 // uniform bandwidth across shards
 	learn  *learner.RMSprop
-	karma  *sample.Karma
-	res    *sample.Reservoir
-	rng    *rand.Rand
-	src    *countingSource
-	prec   mathx.Precision
+	// maint runs karma replacement and change-feed maintenance over the
+	// global sample index (groupSlots); its Rng draws from src.
+	maint sample.Maintainer
+	src   *sample.CountingSource
+	prec  mathx.Precision
 	// pinScale/pinOff freeze every shard's quantized-tier dequantization
 	// constants to the values derived from the build-time global sample,
 	// so K quantized shards encode the same int16 codes as one.
@@ -207,14 +207,9 @@ type Group struct {
 	pinOff   []float32
 	analyzes int // completed ANALYZE runs (seeds their optimizer RNG)
 	anNext   int // round-robin ANALYZE target
-	// ingestSeq is the change-feed cursor: the highest mutation sequence
-	// number applied through ApplyMutations (see internal/ingest).
-	ingestSeq uint64
 
-	health    atomic.Int32
-	evMu      sync.Mutex
-	lastEvent string
-	queries   atomic.Int64
+	core.Ladder
+	queries atomic.Int64
 
 	met groupMetrics
 }
@@ -223,16 +218,8 @@ type groupMetrics struct {
 	reg            *metrics.Registry
 	gathers        *metrics.Counter
 	degraded       *metrics.Counter
-	feedbacks      *metrics.Counter
-	analyzes       *metrics.Counter
-	replacements   *metrics.Counter
 	gradRejected   *metrics.Counter
-	resAccepts     *metrics.Counter
-	invalidInputs  *metrics.Counter
-	ignoredDeletes *metrics.Counter
-	ignoredUpdates *metrics.Counter
-	deleteEvicts   *metrics.Counter
-	updatePatches  *metrics.Counter
+	invalidQueries *metrics.Counter
 }
 
 // Build constructs a K-shard group over tab. The global sample is drawn
@@ -250,7 +237,7 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 	}
 	d := tab.Dims()
 	k := cfg.shards()
-	src := newCountingSource(cfg.Seed + 1)
+	src := sample.NewCountingSource(cfg.Seed + 1)
 	rng := rand.New(src)
 	s := cfg.sampleSize()
 	if s > tab.Len() {
@@ -273,13 +260,13 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 		faults:   cfg.Faults,
 		sTotal:   s,
 		h:        h,
-		rng:      rng,
+		maint:    sample.Maintainer{Rng: rng},
 		src:      src,
 		prec:     cfg.Precision,
 		pinScale: pinScale,
 		pinOff:   pinOff,
 	}
-	if g.shards, err = buildShards(flat, d, k, g.pool, h, pinScale, pinOff, cfg.Precision); err != nil {
+	if g.shards, err = buildShards(partition(flat, d, k), d, g.pool, h, pinScale, pinOff, cfg.Precision); err != nil {
 		return nil, err
 	}
 	if g.learn, err = learner.NewRMSprop(d, cfg.Learner); err != nil {
@@ -289,10 +276,10 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 	if kcfg.Loss == nil {
 		kcfg.Loss = g.lf
 	}
-	if g.karma, err = sample.NewKarma(s, kcfg); err != nil {
+	if g.maint.Karma, err = sample.NewKarma(s, kcfg); err != nil {
 		return nil, err
 	}
-	if g.res, err = sample.NewReservoir(s, tab.Len(), rng); err != nil {
+	if g.maint.Res, err = sample.NewReservoir(s, tab.Len(), rng); err != nil {
 		return nil, err
 	}
 	tab.Subscribe(g)
@@ -303,23 +290,28 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 	return g, nil
 }
 
-// buildShards partitions the global row-major sample onto K shard
-// estimators by the chunk-round-robin rule and configures each with the
-// shared pool, the uniform bandwidth, the pinned quantization constants,
-// and the serving precision. Shards beyond the global chunk count stay
-// nil (empty).
-func buildShards(flat []float64, d, k int, pool *parallel.Pool, h []float64, pinScale, pinOff []float32, prec mathx.Precision) ([]*shardState, error) {
+// partition splits the global row-major sample onto k shards by the
+// chunk-round-robin rule; shards beyond the global chunk count get none.
+func partition(flat []float64, d, k int) [][]float64 {
 	s := len(flat) / d
-	nc := parallel.Chunks(s)
-	shards := make([]*shardState, k)
-	for i := range shards {
-		shards[i] = &shardState{}
+	parts := make([][]float64, k)
+	for c, nc := 0, parallel.Chunks(s); c < nc; c++ {
+		lo, hi := parallel.ChunkBounds(c, s)
+		parts[c%k] = append(parts[c%k], flat[lo*d:hi*d]...)
 	}
-	for i := 0; i < k && i < nc; i++ {
-		var part []float64
-		for c := i; c < nc; c += k {
-			lo, hi := parallel.ChunkBounds(c, s)
-			part = append(part, flat[lo*d:hi*d]...)
+	return parts
+}
+
+// buildShards builds one shard estimator per non-empty row-major partition,
+// configured with the shared pool, the uniform bandwidth, the pinned
+// quantization constants, and the serving precision. Empty partitions
+// become empty (nil-estimator) shards.
+func buildShards(parts [][]float64, d int, pool *parallel.Pool, h []float64, pinScale, pinOff []float32, prec mathx.Precision) ([]*shardState, error) {
+	shards := make([]*shardState, len(parts))
+	for i, part := range parts {
+		shards[i] = &shardState{}
+		if len(part) == 0 {
+			continue
 		}
 		est, err := kde.New(d, nil)
 		if err != nil {
@@ -327,7 +319,7 @@ func buildShards(flat []float64, d, k int, pool *parallel.Pool, h []float64, pin
 		}
 		est.SetPool(pool)
 		if err := est.SetSampleFlat(part); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard %d sample: %w", i, err)
 		}
 		if err := est.PinQuantConstants(pinScale, pinOff); err != nil {
 			return nil, err
@@ -345,21 +337,16 @@ func buildShards(flat []float64, d, k int, pool *parallel.Pool, h []float64, pin
 
 func (g *Group) instrument(reg *metrics.Registry) {
 	g.met.reg = reg
+	g.maint.Instrument(reg)
 	if reg == nil {
 		return
 	}
+	// Instruments that mean the same as the serving core's share its core.*
+	// names; only the scatter/gather ones are shard.*.
 	g.met.gathers = reg.Counter("shard.gathers")
 	g.met.degraded = reg.Counter("shard.degraded_gathers")
-	g.met.feedbacks = reg.Counter("shard.feedbacks")
-	g.met.analyzes = reg.Counter("shard.analyzes")
-	g.met.replacements = reg.Counter("shard.replacements")
-	g.met.gradRejected = reg.Counter("shard.grad_rejected")
-	g.met.resAccepts = reg.Counter("shard.res_accepts")
-	g.met.invalidInputs = reg.Counter("shard.invalid_inputs")
-	g.met.ignoredDeletes = reg.Counter("shard.ignored_deletes")
-	g.met.ignoredUpdates = reg.Counter("shard.ignored_updates")
-	g.met.deleteEvicts = reg.Counter("shard.delete_evictions")
-	g.met.updatePatches = reg.Counter("shard.update_patches")
+	g.met.gradRejected = reg.Counter("core.gradients_rejected")
+	g.met.invalidQueries = reg.Counter("core.invalid_queries")
 	reg.RegisterGaugeFunc("shard.shards", func() float64 { return float64(g.k) })
 	reg.RegisterGaugeFunc("shard.sample_size", func() float64 {
 		if vs := g.views.Load(); vs != nil {
@@ -415,33 +402,6 @@ func (g *Group) Republish() {
 	if !g.closed {
 		g.publishLocked()
 	}
-}
-
-// setHealth degrades monotonically (never back toward Healthy), exactly
-// like the serving core's rung semantics.
-func (g *Group) setHealth(h core.Health, reason string) {
-	for {
-		cur := g.health.Load()
-		if int32(h) <= cur {
-			return
-		}
-		if g.health.CompareAndSwap(cur, int32(h)) {
-			g.evMu.Lock()
-			g.lastEvent = reason
-			g.evMu.Unlock()
-			return
-		}
-	}
-}
-
-// Health returns the group's degradation rung.
-func (g *Group) Health() core.Health { return core.Health(g.health.Load()) }
-
-// LastDegradation describes the most recent health transition.
-func (g *Group) LastDegradation() string {
-	g.evMu.Lock()
-	defer g.evMu.Unlock()
-	return g.lastEvent
 }
 
 // Dims returns the model dimensionality.
@@ -523,30 +483,6 @@ func (g *Group) Close() {
 	}
 }
 
-// validateQuery applies the serving core's strict query validation
-// (shape, NaN, ±Inf, inverted bounds) so the HTTP layer maps failures to
-// the same 400 taxonomy via core.ErrInvalidQuery.
-func validateQuery(d int, q query.Range) error {
-	if len(q.Lo) != len(q.Hi) {
-		return &core.InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("bound length mismatch: %d vs %d", len(q.Lo), len(q.Hi))}
-	}
-	if q.Dims() != d {
-		return &core.InvalidQueryError{Dim: -1, Reason: fmt.Sprintf("query has %d dims, estimator has %d", q.Dims(), d)}
-	}
-	for j := range q.Lo {
-		lo, hi := q.Lo[j], q.Hi[j]
-		switch {
-		case math.IsNaN(lo) || math.IsNaN(hi):
-			return &core.InvalidQueryError{Dim: j, Reason: "NaN bound"}
-		case math.IsInf(lo, 0) || math.IsInf(hi, 0):
-			return &core.InvalidQueryError{Dim: j, Reason: "infinite bound"}
-		case lo > hi:
-			return &core.InvalidQueryError{Dim: j, Reason: fmt.Sprintf("inverted bounds [%g, %g]", lo, hi)}
-		}
-	}
-	return nil
-}
-
 // Estimate estimates one query.
 func (g *Group) Estimate(q query.Range) (float64, error) {
 	est, _, err := g.EstimateDetail(context.Background(), q)
@@ -591,8 +527,8 @@ func (g *Group) EstimateBatchDetail(ctx context.Context, qs []query.Range, ests 
 		return false, fmt.Errorf("shard: estimate buffer has %d entries, want %d", len(ests), nq)
 	}
 	for i := range qs {
-		if err := validateQuery(g.d, qs[i]); err != nil {
-			g.met.invalidInputs.Inc()
+		if err := core.ValidateQuery(g.d, qs[i]); err != nil {
+			g.met.invalidQueries.Inc()
 			return false, err
 		}
 	}
@@ -683,15 +619,17 @@ func (g *Group) EstimateBatchDetail(ctx context.Context, qs []query.Range, ests 
 			sum += partials[k][(c/g.k)*nq+iq]
 		}
 		// Division, not multiplication by a reciprocal: the single-shard
-		// reduction divides, and one ULP is a bit-identity failure.
-		ests[iq] = sum / float64(sSurv)
+		// reduction divides, and one ULP is a bit-identity failure. The
+		// clamp is the serving core's, which in-range values pass through
+		// untouched.
+		ests[iq] = core.Clamp01(sum / float64(sSurv))
 	}
 	release()
 	g.queries.Add(int64(nq))
 	g.met.gathers.Inc()
 	if anyFail {
 		g.met.degraded.Inc()
-		g.setHealth(core.Degraded, "shard lost during scatter; serving from survivors")
+		g.Degrade(core.Degraded, "shard lost during scatter; serving from survivors")
 	}
 	return anyFail, nil
 }
@@ -708,19 +646,11 @@ func (g *Group) owner(gi int) (shard, local int) {
 // shard), then the RMSprop bandwidth step over the gradient gathered in
 // global chunk order. The resulting model trajectory is invariant in K.
 func (g *Group) Feedback(q query.Range, actual float64) error {
-	if err := validateQuery(g.d, q); err != nil {
-		g.met.invalidInputs.Inc()
+	if err := core.ValidateFeedback(g.d, q, actual); err != nil {
+		g.met.invalidQueries.Inc()
 		return err
 	}
-	if math.IsNaN(actual) || math.IsInf(actual, 0) {
-		g.met.invalidInputs.Inc()
-		return fmt.Errorf("%w: non-finite true selectivity %v", core.ErrInvalidFeedback, actual)
-	}
-	if actual < 0 {
-		actual = 0
-	} else if actual > 1 {
-		actual = 1
-	}
+	actual = core.Clamp01(actual)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -740,13 +670,7 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 		if err != nil {
 			return err
 		}
-		size := sh.est.Size()
-		for lc, lnc := 0, parallel.Chunks(size); lc < lnc; lc++ {
-			c := lc*g.k + k
-			glo, ghi := parallel.ChunkBounds(c, g.sTotal)
-			llo := lc * parallel.ChunkSize
-			copy(contrib[glo:ghi], cbuf[llo:llo+(ghi-glo)])
-		}
+		g.toGlobal(contrib, k, cbuf, 1)
 	}
 	nc := parallel.Chunks(g.sTotal)
 	sum := 0.0
@@ -805,16 +729,12 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 	if actual == 0 {
 		bound = sample.EmptyRegionBound(q, g.h)
 	}
-	idx, err := g.karma.Update(contrib, est, actual, bound)
+	idx, err := g.maint.Karma.Update(contrib, est, actual, bound)
 	if err != nil {
 		return err
 	}
-	for _, gi := range idx {
-		row, ok := g.tab.RandomRow(g.rng)
-		if !ok {
-			break // empty table: nothing to replace with
-		}
-		g.replaceLocked(gi, row)
+	if err := g.maint.ReplaceOutdated(groupSlots{g}, g.tab, idx); err != nil {
+		return err
 	}
 
 	updated, oerr := g.learn.Observe(grad, g.h)
@@ -822,7 +742,6 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 		// Same policy as the serving core: a rejected non-finite gradient
 		// is absorbed, not propagated.
 		g.met.gradRejected.Inc()
-		g.met.feedbacks.Inc()
 		return nil
 	}
 	if updated {
@@ -839,31 +758,55 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 			g.setBandwidthLocked()
 		}
 	}
-	g.met.feedbacks.Inc()
 	return nil
 }
 
-// replaceLocked swaps global sample index gi for row on its owning shard.
-// Caller holds g.mu; the owning shard's lock bounds the mutation so an
-// ANALYZE sample copy on that shard never observes a torn row.
-func (g *Group) replaceLocked(gi int, row []float64) {
-	for _, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return // a non-finite row would poison every future estimate
+// FeedbackBatch folds a slice of observations in order, one Feedback each:
+// every feedback runs karma sample maintenance, which is per-query.
+func (g *Group) FeedbackBatch(fbs []query.Feedback) error {
+	for _, fb := range fbs {
+		if err := g.Feedback(fb.Query, fb.Actual); err != nil {
+			return err
 		}
 	}
-	k, li := g.owner(gi)
-	sh := g.shards[k]
+	return nil
+}
+
+// groupSlots addresses the global sample by global index through the
+// chunk-round-robin owner mapping, for sample maintenance. The caller holds
+// g.mu.
+type groupSlots struct{ g *Group }
+
+func (s groupSlots) Len() int { return s.g.sTotal }
+
+func (s groupSlots) Point(gi int) []float64 {
+	k, li := s.g.owner(gi)
+	est := s.g.shards[k].est
+	if est == nil {
+		return nil
+	}
+	d, flat := s.g.d, est.SampleFlat()
+	if (li+1)*d > len(flat) {
+		return nil
+	}
+	return flat[li*d : (li+1)*d]
+}
+
+// Replace swaps the point under the owning shard's lock, so an ANALYZE
+// sample copy on that shard never observes a torn row.
+func (s groupSlots) Replace(gi int, row []float64) error {
+	k, li := s.g.owner(gi)
+	sh := s.g.shards[k]
 	if sh.est == nil {
-		return
+		return nil
 	}
 	sh.mu.Lock()
 	err := sh.est.ReplacePoint(li, row)
 	sh.mu.Unlock()
 	if err == nil {
 		sh.replacements.Inc()
-		g.met.replacements.Inc()
 	}
+	return err
 }
 
 // setBandwidthLocked installs g.h on every shard. Caller holds g.mu.
@@ -885,7 +828,7 @@ func (g *Group) resetToScottLocked(reason string) {
 	copy(g.h, kde.ScottBandwidth(flat, g.d))
 	g.setBandwidthLocked()
 	g.learn.Reset()
-	g.setHealth(core.Degraded, reason)
+	g.Degrade(core.Degraded, reason)
 }
 
 // sampleFlatLocked reassembles the global row-major sample from the
@@ -893,24 +836,26 @@ func (g *Group) resetToScottLocked(reason string) {
 func (g *Group) sampleFlatLocked() []float64 {
 	flat := make([]float64, g.sTotal*g.d)
 	for k, sh := range g.shards {
-		if sh.est == nil {
-			continue
-		}
-		data := sh.est.SampleFlat()
-		size := sh.est.Size()
-		for lc, lnc := 0, parallel.Chunks(size); lc < lnc; lc++ {
-			c := lc*g.k + k
-			glo, ghi := parallel.ChunkBounds(c, g.sTotal)
-			llo := lc * parallel.ChunkSize
-			copy(flat[glo*g.d:ghi*g.d], data[llo*g.d:(llo+(ghi-glo))*g.d])
+		if sh.est != nil {
+			g.toGlobal(flat, k, sh.est.SampleFlat(), g.d)
 		}
 	}
 	return flat
 }
 
-// Analyze re-optimizes the bandwidth over the next shard in round-robin
+// toGlobal copies shard k's per-point values (w per point, local index
+// order) into dst at their global indices.
+func (g *Group) toGlobal(dst []float64, k int, local []float64, w int) {
+	for lc, lnc := 0, parallel.Chunks(len(local)/w); lc < lnc; lc++ {
+		glo, ghi := parallel.ChunkBounds(lc*g.k+k, g.sTotal)
+		llo := lc * parallel.ChunkSize
+		copy(dst[glo*w:ghi*w], local[llo*w:(llo+ghi-glo)*w])
+	}
+}
+
+// Reoptimize re-optimizes the bandwidth over the next shard in round-robin
 // order — the sharded ANALYZE entry point.
-func (g *Group) Analyze(fbs []query.Feedback) error {
+func (g *Group) Reoptimize(fbs []query.Feedback) error {
 	g.mu.Lock()
 	i := g.anNext % g.k
 	g.anNext++
@@ -959,7 +904,7 @@ func (g *Group) AnalyzeShard(i int, fbs []query.Feedback) error {
 	h, err := bandwidth.Optimal(flat, g.d, fbs, opts)
 	if err != nil {
 		// Degrade but keep serving under the pre-ANALYZE bandwidth.
-		g.setHealth(core.Degraded, fmt.Sprintf("shard %d analyze failed: %v", i, err))
+		g.Degrade(core.Degraded, fmt.Sprintf("shard %d analyze failed: %v", i, err))
 		return err
 	}
 
@@ -971,133 +916,8 @@ func (g *Group) AnalyzeShard(i int, fbs []query.Feedback) error {
 	copy(g.h, h)
 	g.setBandwidthLocked()
 	sh.analyzes.Inc()
-	g.met.analyzes.Inc()
 	g.publishLocked()
 	return nil
-}
-
-// findSlotLocked scans the global sample in global index order for an
-// exact match of row, returning -1 when absent. Global order — not
-// shard-by-shard — makes the chosen slot invariant in K even when the
-// sample holds duplicates, mirroring core.Estimator.findSampleSlot.
-// Caller holds g.mu.
-func (g *Group) findSlotLocked(row []float64) int {
-	flats := make([][]float64, g.k)
-	for k, sh := range g.shards {
-		if sh.est != nil {
-			flats[k] = sh.est.SampleFlat()
-		}
-	}
-	d := g.d
-slots:
-	for gi := 0; gi < g.sTotal; gi++ {
-		k, li := g.owner(gi)
-		flat := flats[k]
-		if flat == nil || (li+1)*d > len(flat) {
-			continue
-		}
-		p := flat[li*d : (li+1)*d]
-		for j, v := range row {
-			if p[j] != v {
-				continue slots
-			}
-		}
-		return gi
-	}
-	return -1
-}
-
-// applyInsertLocked runs reservoir sampling (§4.2) against the GLOBAL
-// reservoir, routing the accepted slot to its owning shard. Caller holds
-// g.mu; returns whether the sample changed.
-func (g *Group) applyInsertLocked(row []float64) bool {
-	if g.res == nil {
-		return false
-	}
-	slot, accept := g.res.Offer()
-	if !accept {
-		return false
-	}
-	g.met.resAccepts.Inc()
-	r := append([]float64(nil), row...)
-	g.replaceLocked(slot, r)
-	g.karma.Reset(slot)
-	return true
-}
-
-// applyDeleteLocked evicts a deleted tuple's sampled pre-image, replacing
-// it with a copy of a uniformly random surviving sample point (drawn from
-// the global counted rng, looked up in global index order, so the outcome
-// is invariant in K and bit-identical to the unsharded path). Like
-// core.Estimator.applyDelete it never touches the table: the apply path
-// runs while table writers may be parked on ring backpressure. Deletes of
-// unsampled tuples stay deferred to karma (shard.ignored_deletes). Caller
-// holds g.mu.
-func (g *Group) applyDeleteLocked(row []float64) bool {
-	if g.res == nil {
-		return false
-	}
-	slot := g.findSlotLocked(row)
-	if slot < 0 {
-		g.met.ignoredDeletes.Inc()
-		return false
-	}
-	if g.sTotal < 2 {
-		g.met.ignoredDeletes.Inc()
-		return false
-	}
-	j := g.rng.Intn(g.sTotal - 1)
-	if j >= slot {
-		j++
-	}
-	k, li := g.owner(j)
-	sh := g.shards[k]
-	if sh.est == nil {
-		g.met.ignoredDeletes.Inc()
-		return false
-	}
-	repl := append([]float64(nil), sh.est.SampleFlat()[li*g.d:(li+1)*g.d]...)
-	g.replaceLocked(slot, repl)
-	g.karma.Reset(slot)
-	g.met.deleteEvicts.Inc()
-	return true
-}
-
-// applyUpdateLocked patches an updated tuple's sampled pre-image in place
-// with the post-image and resets its karma; updates of unsampled tuples
-// stay deferred to karma (shard.ignored_updates). Caller holds g.mu.
-func (g *Group) applyUpdateLocked(pre, post []float64) bool {
-	if g.res == nil {
-		return false
-	}
-	slot := g.findSlotLocked(pre)
-	if slot < 0 {
-		g.met.ignoredUpdates.Inc()
-		return false
-	}
-	r := append([]float64(nil), post...)
-	g.replaceLocked(slot, r)
-	g.karma.Reset(slot)
-	g.met.updatePatches.Inc()
-	return true
-}
-
-// applyMutationLocked dispatches one change-feed event and advances the
-// ingest cursor. Caller holds g.mu.
-func (g *Group) applyMutationLocked(m *table.Mutation) bool {
-	var changed bool
-	switch m.Kind {
-	case table.MutInsert:
-		changed = g.applyInsertLocked(m.Row)
-	case table.MutDelete:
-		changed = g.applyDeleteLocked(m.Row)
-	case table.MutUpdate:
-		changed = g.applyUpdateLocked(m.Pre, m.Row)
-	}
-	if m.Seq > g.ingestSeq {
-		g.ingestSeq = m.Seq
-	}
-	return changed
 }
 
 // ApplyMutations applies a batch of change-feed events in sequence order
@@ -1111,16 +931,11 @@ func (g *Group) ApplyMutations(ms []table.Mutation) error {
 	if g.closed {
 		return ErrClosed
 	}
-	changed := false
-	for i := range ms {
-		if g.applyMutationLocked(&ms[i]) {
-			changed = true
-		}
-	}
+	changed, err := g.maint.Apply(groupSlots{g}, ms)
 	if changed {
 		g.publishLocked()
 	}
-	return nil
+	return err
 }
 
 // IngestCursor returns the highest change-feed sequence number applied so
@@ -1128,48 +943,30 @@ func (g *Group) ApplyMutations(ms []table.Mutation) error {
 func (g *Group) IngestCursor() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.ingestSeq
+	return g.maint.Cursor
 }
 
-// Detach removes the group's direct table subscription; a serving stack
+// DetachFeed removes the group's direct table subscription; a serving stack
 // then routes the feed through ApplyMutations via the ingestion bridge.
-func (g *Group) Detach() { g.tab.Unsubscribe(g) }
+func (g *Group) DetachFeed() { g.tab.Unsubscribe(g) }
+
+// Detach is DetachFeed.
+func (g *Group) Detach() { g.DetachFeed() }
 
 // OnInsert implements table.Listener: the direct single-writer path.
 // Serving stacks detach it and route the feed through internal/ingest.
 func (g *Group) OnInsert(row []float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	if g.applyInsertLocked(row) {
-		g.publishLocked()
-	}
+	_ = g.ApplyMutations([]table.Mutation{{Kind: table.MutInsert, Row: row}})
 }
 
 // OnDelete implements table.Listener (direct single-writer path); see
-// applyDeleteLocked for the evict-and-resample semantics.
+// sample.Maintainer for the evict-and-resample semantics.
 func (g *Group) OnDelete(row []float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	if g.applyDeleteLocked(row) {
-		g.publishLocked()
-	}
+	_ = g.ApplyMutations([]table.Mutation{{Kind: table.MutDelete, Row: row}})
 }
 
 // OnUpdate implements table.Listener (direct single-writer path); see
-// applyUpdateLocked for the patch-in-place semantics.
+// sample.Maintainer for the patch-in-place semantics.
 func (g *Group) OnUpdate(oldRow, newRow []float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return
-	}
-	if g.applyUpdateLocked(oldRow, newRow) {
-		g.publishLocked()
-	}
+	_ = g.ApplyMutations([]table.Mutation{{Kind: table.MutUpdate, Row: newRow, Pre: oldRow}})
 }

@@ -15,6 +15,7 @@ import (
 	"kdesel/internal/metrics"
 	"kdesel/internal/parallel"
 	"kdesel/internal/query"
+	"kdesel/internal/sample"
 	"kdesel/internal/table"
 )
 
@@ -60,7 +61,7 @@ func testQueries(n, d int, seed int64) []query.Range {
 func refEstimator(t *testing.T, tab *table.Table, cfg Config) *kde.Estimator {
 	t.Helper()
 	d := tab.Dims()
-	rng := rand.New(newCountingSource(cfg.Seed + 1))
+	rng := rand.New(sample.NewCountingSource(cfg.Seed + 1))
 	s := cfg.sampleSize()
 	if s > tab.Len() {
 		s = tab.Len()

@@ -276,12 +276,13 @@ var (
 
 // ShardedGroup is a scale-out estimator: the reservoir sample is
 // partitioned across K shard estimators (sample chunk c lives on shard
-// c%K), estimates scatter to every shard and gather the per-shard partial
-// sums in shard-index order, so results are bit-identical (Float64bits)
-// to a single-shard estimator at any K and worker count. ANALYZE
-// re-optimizes one shard's bandwidth under that shard's lock alone;
-// serving traffic on the other shards never blocks on it. A Registry
-// admits these via AdmitSharded.
+// c%K), estimates scatter to every shard and gather the per-chunk partial
+// sums in global chunk order, so results are bit-identical (Float64bits)
+// to a single-shard estimator at any K and worker count. ANALYZE optimizes
+// the bandwidth over one shard's sample, copied under that shard's lock
+// alone, and installs the result as one uniform bandwidth on every shard;
+// serving traffic never blocks on the optimization. A Registry admits
+// these via AdmitSharded.
 type ShardedGroup = shard.Group
 
 // ShardConfig tunes a ShardedGroup; see shard.Config for all fields.
