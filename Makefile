@@ -64,8 +64,8 @@ mathx-accuracy:
 
 # The precision-tier error contracts must actually run, like mathx-accuracy:
 # the float32 segment-table sweep (|error| ≤ 1e-6) and the end-to-end tier
-# contracts (float32 ≤ 1e-5, quantized ≤ 1e-3 max relative estimate error
-# against the float64 path, and the verify gate's fallback behavior).
+# contract (float32 ≤ 1e-5 max relative estimate error against the float64
+# path, and the verify gate's fallback behavior).
 precision-accuracy:
 	@out="$$($(GO) test -count=1 -run 'TestFastErf32Accuracy' -v ./internal/mathx/ && \
 		$(GO) test -count=1 -run 'TestPrecisionTierContracts' -v ./internal/kde/ && \
@@ -207,12 +207,13 @@ bench-PR5:
 		-out BENCH_PR5.json bench5.out
 	rm -f bench5.out
 
-# PR6: the compressed float32/int16 columnar serving tiers. The batch
-# evaluator across all five configurations (generic-exact, fused-exact,
-# fused-fast, fused-float32, fused-quantized — each reporting bytes/query
-# for the tier it streams), plus the mass-kernel micro-benchmarks per
-# element width. The acceptance criterion is fused-float32 ≥ 2x fused-fast
-# (PR4's recorded 57ms serving baseline).
+# PR6: the compressed float32 columnar serving tier. The batch evaluator
+# across all four configurations (generic-exact, fused-exact, fused-fast,
+# fused-float32 — each reporting bytes/query for the tier it streams), plus
+# the float64 and float32 mass-kernel micro-benchmarks. The acceptance
+# criterion is fused-float32 ≥ 2x fused-fast (PR4's recorded 57ms serving
+# baseline). An int16 tier once measured here has since been deleted
+# (DESIGN.md, "Why there is no int16 tier").
 BENCH_CMD6 = $(GO) test -run TestNothing -bench BenchmarkSelectivityBatch -benchmem -benchtime 30x .
 BENCH_CMD6B = $(GO) test -run TestNothing -bench 'BenchmarkGaussianMassFill|BenchmarkGaussianMassMul' -benchtime 1000x ./internal/kernel/
 
@@ -221,7 +222,7 @@ bench-PR6:
 	$(BENCH_CMD6B) >> bench6.out
 	$(GO) run ./cmd/benchjson -pr 6 \
 		-title "Compressed float32 columnar tier with error-contracted precision modes" \
-		-note "BenchmarkSelectivityBatch compares the float64 paths (generic-exact, fused-exact, fused-fast) against the compressed tiers (fused-float32, fused-quantized); the acceptance criterion is fused-float32 >= 2x fused-fast, the PR4 serving baseline. Each variant reports bytes/query (rows x dims x element size: 8, 4, or 2 bytes per value) and benchjson derives the effective streaming bandwidth (derived-GB/s). The internal/kernel entries are the per-column mass kernels at each element width. Tier error contracts (float32 <= 1e-5, quantized <= 1e-3 max relative error) are enforced separately by 'make precision-accuracy'." \
+		-note "BenchmarkSelectivityBatch compares the float64 paths (generic-exact, fused-exact, fused-fast) against the compressed float32 tier (fused-float32); the acceptance criterion is fused-float32 >= 2x fused-fast, the PR4 serving baseline. Each variant reports bytes/query (rows x dims x element size: 8 or 4 bytes per value) and benchjson derives the effective streaming bandwidth (derived-GB/s). The internal/kernel entries are the per-column mass kernels at each element width. The tier error contract (float32 <= 1e-5 max relative error) is enforced separately by 'make precision-accuracy'." \
 		-cmd "$(BENCH_CMD6)" -cmd "$(BENCH_CMD6B)" \
 		-out BENCH_PR6.json bench6.out
 	rm -f bench6.out

@@ -283,7 +283,7 @@ func BenchmarkKDEEstimate(b *testing.B) {
 // the 8-D, 4096-point model — the serving path's unit of work. The generic
 // variant forces the pre-PR row-major query-at-a-time inner loops; fused is
 // the columnar tiled layout with hoisted scalings, in both erf modes; the
-// float32 and quantized variants read the compressed columnar tiers. The
+// float32 variant reads the compressed columnar tier. The
 // serving-path criteria compare fused/fast against generic/exact and
 // fused/float32 against fused/fast. Each variant reports bytes/query (the
 // sample bytes one query streams: rows × dims × element size) and
@@ -300,7 +300,6 @@ func BenchmarkSelectivityBatch(b *testing.B) {
 		{"fused-exact", false, mathx.Exact, mathx.Float64},
 		{"fused-fast", false, mathx.Fast, mathx.Float64},
 		{"fused-float32", false, mathx.Fast, mathx.Float32},
-		{"fused-quantized", false, mathx.Fast, mathx.Quantized},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			e, qs := benchEstimatorAndQueries(b, d, s)

@@ -58,7 +58,7 @@ func main() {
 		regModels  = flag.Int("registry-models", 0, "registry experiment: single-table model count (0 = default 8)")
 		shards     = flag.Int("shards", 0, "shard experiment: sample partition count K (0 = default 4)")
 		erfMode    = flag.String("erf", "exact", "erf implementation for Gaussian kernels: exact (math.Erf) | fast (polynomial, |err| ≤ 1e-7)")
-		precFlag   = flag.String("precision", "float64", "serve experiment: serving precision tier, float64 | float32 | quantized (reduced tiers fall back to float64 if over their error contract)")
+		precFlag   = flag.String("precision", "float64", "serve experiment: serving precision tier, float64 | float32 (float32 falls back to float64 if over its error contract)")
 	)
 	flag.Parse()
 	if m, ok := mathx.ParseMode(*erfMode); ok {
@@ -69,7 +69,7 @@ func main() {
 	}
 	prec, ok := mathx.ParsePrecision(*precFlag)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "kdebench: bad -precision %q (want float64, float32, or quantized)\n", *precFlag)
+		fmt.Fprintf(os.Stderr, "kdebench: bad -precision %q (want float64 or float32)\n", *precFlag)
 		os.Exit(2)
 	}
 	ckpts := experiments.CheckpointConfig{Dir: *ckptDir, Every: *ckptEvery}

@@ -22,10 +22,10 @@
 // writer operations take its writer lock while estimates serve lock-free
 // from the published model snapshot, as in an embedded deployment. -erf
 // fast switches the Gaussian kernels to the polynomial erf (|error| ≤
-// 1e-7, ~4× faster). -precision float32|quantized serves estimates from a
-// compressed columnar tier (4 or 2 bytes per sample value); the tier is
-// verified against its error contract before it is served and silently
-// falls back to float64 (with a stderr note) if it misses.
+// 1e-7, ~4× faster). -precision float32 serves estimates from a float32
+// columnar tier (4 bytes per sample value); the tier is verified against
+// its error contract before it is served and silently falls back to
+// float64 (with a stderr note) if it misses.
 //
 // -models "0,1;1,2" switches to multi-model mode: each semicolon-separated
 // ordered column subset becomes one model over the projection of the CSV
@@ -102,7 +102,7 @@ func main() {
 		analyzeSp  = flag.String("analyze", "", "with -models: re-optimize the model over these columns (or \"all\") from -train self-generated feedbacks before serving queries")
 		maxResid   = flag.Int("max-resident", 0, "with -models: cap resident models; LRU victims are checkpointed to -checkpoint-dir and restored on their next query (0 = unbounded)")
 		ckptDir    = flag.String("checkpoint-dir", "", "with -models: directory for per-model checkpoint rotation (also written on exit)")
-		precFlag   = flag.String("precision", "float64", "serving precision tier: float64 (exact) | float32 (4 B/value, rel err ≤ 1e-5) | quantized (int16, 2 B/value, rel err ≤ 1e-3); reduced tiers fall back to float64 if they miss their error contract")
+		precFlag   = flag.String("precision", "float64", "serving precision tier: float64 (exact) | float32 (4 B/value, rel err ≤ 1e-5); float32 falls back to float64 if it misses its error contract")
 		shardsN    = flag.Int("shards", 1, "with -listen or -models: partition each model's sample across this many shard estimators (scatter/gather serving, bit-identical results at any count; ANALYZE touches one shard's lock only)")
 		listen     = flag.String("listen", "", "serve the model(s) over HTTP/JSON on this address (e.g. :8080) instead of answering positional queries; SIGINT/SIGTERM drains gracefully")
 		ingestRate = flag.Float64("ingest-rate", 0, "with -listen: attach continuous ingestion to every model and replay synthetic rows (existing rows with small jitter) into each backing table at this many rows/second while serving (0 = off)")
@@ -117,7 +117,7 @@ func main() {
 	}
 	prec, ok := kdesel.ParsePrecision(*precFlag)
 	if !ok {
-		fail("bad -precision %q (want float64, float32, or quantized)", *precFlag)
+		fail("bad -precision %q (want float64 or float32)", *precFlag)
 	}
 	if *dataPath == "" {
 		fail("missing -data")

@@ -4,7 +4,6 @@ import (
 	"kdesel/internal/checkpoint"
 	"kdesel/internal/gpu"
 	"kdesel/internal/learner"
-	"kdesel/internal/mathx"
 	"kdesel/internal/sample"
 	"kdesel/internal/table"
 )
@@ -103,12 +102,8 @@ func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimat
 	e.Ladder.restore(Health(st.Health), st.LastEvent)
 	e.gradTrips = st.GradTrips
 	e.maint.Cursor = st.IngestSeq
-	// Reapply the checkpointed serving precision (v1 frames carry meta 0 =
-	// Float64). The tier is rebuilt from the restored sample and passes
-	// the verify gate again before serving; an unknown byte from a future
-	// format degrades to Float64 rather than failing the restore.
-	if p := mathx.Precision(meta & 0xff); p <= mathx.Quantized {
-		e.configurePrecision(p)
-	}
+	// Reapply the checkpointed serving precision. The tier is rebuilt from
+	// the restored sample and passes the verify gate again before serving.
+	e.configurePrecision(PrecisionFromMeta(meta))
 	return e, nil
 }

@@ -1,10 +1,9 @@
 // Precision-tier management: the serving layer's contract around the
-// compressed columnar read tiers of internal/kde (float32 mirror, int16
-// fixed-point mirror). The configured precision is a request, not a
-// promise: before a tier is ever served it must pass the publish-time
-// verify gate below, which sweeps a deterministic set of queries over the
-// current model and measures the tier's worst relative error against the
-// float64 reference path. A tier over its contract is never published —
+// compressed columnar read tier of internal/kde (the float32 mirror). The
+// configured precision is a request, not a promise: before a tier is ever
+// served it must pass the publish-time verify gate below, which sweeps a
+// deterministic set of queries over the current model and measures the
+// tier's worst relative error against the float64 reference path. A tier over its contract is never published —
 // the model keeps serving float64, core.precision_fallbacks increments,
 // and the estimator takes the Degraded rung of the recovery ladder
 // (health.go), exactly like a fast-erf or device degradation.
@@ -48,14 +47,23 @@ const (
 // precContract returns the maximum relative error (against precRelFloor)
 // a tier may show on the verify sweep before it is refused.
 func precContract(p mathx.Precision) float64 {
-	switch p {
-	case mathx.Float32:
+	if p == mathx.Float32 {
 		return 1e-5
-	case mathx.Quantized:
-		return 1e-3
-	default:
-		return 0
 	}
+	return 0
+}
+
+// PrecisionFromMeta decodes the serving precision a checkpoint frame's meta
+// word carries in its low byte — the one decoder both model engines'
+// restores call. v1 frames carry meta 0 (Float64); any byte that is not a
+// current tier, including a future format's or the retired int16 tier's 2,
+// degrades to Float64 rather than failing the restore or being written
+// back on the next checkpoint.
+func PrecisionFromMeta(meta uint32) mathx.Precision {
+	if p := mathx.Precision(meta & 0xff); p == mathx.Float32 {
+		return p
+	}
+	return mathx.Float64
 }
 
 // reverifyGens is the sample-churn budget between verifications: once the

@@ -1,19 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
+	"kdesel/internal/checkpoint"
 	"kdesel/internal/mathx"
 	"kdesel/internal/metrics"
 	"kdesel/internal/query"
 	"kdesel/internal/table"
 )
 
-// TestPrecisionTierServing: a server configured with a reduced-precision
-// tier on well-conditioned data serves from that tier (the verify gate
+// TestPrecisionTierServing: a server configured with the float32 tier on
+// well-conditioned data serves from that tier (the verify gate
 // passes), estimates stay within the tier's error contract of the float64
 // path, and switching back to Float64 restores the exact path bit for bit.
 func TestPrecisionTierServing(t *testing.T) {
@@ -39,7 +41,7 @@ func TestPrecisionTierServing(t *testing.T) {
 	for _, tier := range []struct {
 		p   mathx.Precision
 		tol float64
-	}{{mathx.Float32, 1e-4}, {mathx.Quantized, 1e-2}} {
+	}{{mathx.Float32, 1e-4}} {
 		t.Run(tier.p.String(), func(t *testing.T) {
 			est, err := Build(tab, cfg)
 			if err != nil {
@@ -87,25 +89,21 @@ func TestPrecisionTierServing(t *testing.T) {
 	}
 }
 
-// gateTable builds a workload the quantized tier cannot represent: sample
-// values spread over [0, 10] with one outlier at 1e6 stretching the per-dim
-// quantization range so the int16 step is ~15 — every in-range point
-// collapses to one code — while a tiny bandwidth makes the verify sweep's
-// queries far narrower than the quantization error.
+// gateTable builds a workload the float32 tier cannot represent: sample
+// values spread over [1e6, 1e6+10], where float32's spacing is 1/16 — every
+// value rounds by up to 0.03 — while a tiny bandwidth (gateEstimator) makes
+// the verify sweep's queries far narrower than that rounding error.
 func gateTable(t *testing.T) *table.Table {
 	t.Helper()
 	tab, err := table.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 255; i++ {
-		v := 10 * float64(i) / 254
+	for i := 0; i < 256; i++ {
+		v := 1e6 + 10*float64(i)/255
 		if err := tab.Insert([]float64{v, v}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tab.Insert([]float64{1e6, 1e6}); err != nil {
-		t.Fatal(err)
 	}
 	return tab
 }
@@ -131,10 +129,10 @@ func TestPrecisionVerifyGate(t *testing.T) {
 	est := gateEstimator(t, tab)
 	reg := metrics.New()
 	est.Instrument(reg)
-	srv := NewServer(est, ServeConfig{MaxBatch: 1, Precision: mathx.Quantized})
+	srv := NewServer(est, ServeConfig{MaxBatch: 1, Precision: mathx.Float32})
 
-	if got := srv.ConfiguredPrecision(); got != mathx.Quantized {
-		t.Fatalf("ConfiguredPrecision = %v, want Quantized", got)
+	if got := srv.ConfiguredPrecision(); got != mathx.Float32 {
+		t.Fatalf("ConfiguredPrecision = %v, want Float32", got)
 	}
 	if got := srv.ActivePrecision(); got != mathx.Float64 {
 		t.Fatalf("ActivePrecision = %v, want Float64 (gate must refuse the tier)", got)
@@ -167,7 +165,7 @@ func TestPrecisionVerifyGate(t *testing.T) {
 
 	// Reconfiguring retries the gate from scratch; the same model refuses
 	// again, deterministically.
-	srv.SetPrecision(mathx.Quantized)
+	srv.SetPrecision(mathx.Float32)
 	if n := reg.Counter("core.precision_fallbacks").Value(); n != 2 {
 		t.Fatalf("precision_fallbacks after retry = %d, want 2", n)
 	}
@@ -227,6 +225,71 @@ func TestPrecisionCheckpointRoundTrip(t *testing.T) {
 		}
 		if math.Float64bits(got) != math.Float64bits(want[i]) {
 			t.Errorf("query %d: restored estimate %v not bit-identical to %v", i, got, want[i])
+		}
+	}
+}
+
+// TestPrecisionRestoreUnknownByte: a checkpoint whose precision byte is not
+// a current tier — 2 (the retired int16 tier) or 0xff — restores at
+// Float64, serves bit-identically to the Float64 model that wrote it, and
+// checkpoints Float64 back rather than the unknown byte.
+func TestPrecisionRestoreUnknownByte(t *testing.T) {
+	tab := buildClusteredTable(t, 500, 47)
+	est, err := Build(tab, Config{Mode: Heuristic, SampleSize: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(est, ServeConfig{MaxBatch: 1})
+	rng := rand.New(rand.NewSource(53))
+	qs := make([]query.Range, 16)
+	want := make([]float64, len(qs))
+	for i := range qs {
+		qs[i] = dataQuery(tab, rng, 1.2)
+		if want[i], err = srv.Estimate(qs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f64.ckpt")
+	if err := srv.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	var st chkState
+	if _, err := checkpoint.ReadFileMeta(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, meta := range []uint32{2, 0xff} {
+		p := filepath.Join(dir, fmt.Sprintf("meta%d.ckpt", meta))
+		if err := checkpoint.WriteFileMeta(p, &st, meta, nil); err != nil {
+			t.Fatal(err)
+		}
+		re, err := RestoreCheckpoint(p, tab, nil)
+		if err != nil {
+			t.Fatalf("meta %#x: %v", meta, err)
+		}
+		if got := re.ConfiguredPrecision(); got != mathx.Float64 {
+			t.Fatalf("meta %#x: ConfiguredPrecision = %v, want Float64", meta, got)
+		}
+		if got := re.ActivePrecision(); got != mathx.Float64 {
+			t.Fatalf("meta %#x: ActivePrecision = %v, want Float64", meta, got)
+		}
+		reSrv := NewServer(re, ServeConfig{MaxBatch: 1})
+		for i, q := range qs {
+			got, err := reSrv.Estimate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Errorf("meta %#x query %d: estimate %v not bit-identical to float64 %v", meta, i, got, want[i])
+			}
+		}
+		back := filepath.Join(dir, "back.ckpt")
+		if err := reSrv.Checkpoint(back); err != nil {
+			t.Fatal(err)
+		}
+		var st2 chkState
+		if m, err := checkpoint.ReadFileMeta(back, &st2); err != nil || m != 0 {
+			t.Fatalf("meta %#x: re-checkpointed meta %#x (err %v), want 0", meta, m, err)
 		}
 	}
 }

@@ -112,11 +112,11 @@ type ServeConfig struct {
 	// snapshot.go).
 	SerializeEstimates bool
 	// Precision selects the numeric tier estimates are served from
-	// (default mathx.Float64, the exact pre-tier path). Float32 and
-	// Quantized build a compressed columnar mirror of the sample that is
-	// verified against an error contract before it is ever served
-	// (precision.go): a tier over contract falls back to float64 and
-	// increments core.precision_fallbacks. The precision is pinned into
+	// (default mathx.Float64, the exact pre-tier path). Float32 builds a
+	// compressed columnar mirror of the sample that is verified against an
+	// error contract before it is ever served (precision.go): a tier over
+	// contract falls back to float64 and increments
+	// core.precision_fallbacks. The precision is pinned into
 	// each published snapshot — it changes only at snapshot swaps, never
 	// mid-estimate. Feedback, gradients, and bandwidth learning always run
 	// float64 regardless of this setting.

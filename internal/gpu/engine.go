@@ -86,11 +86,9 @@ func NewEngine(dev *Device, d int, kern kernel.Kernel, sampleFlat []float64) (*E
 func (e *Engine) Device() *Device { return e.dev }
 
 // SetPrecision configures the serving precision of the batch estimate
-// path: with Float32 or Quantized, EstimateBatch bounds tiles transfer as
-// float32 lanes (4 bytes per value, rounding the bounds through float32).
-// Both reduced tiers ship float32 bounds — query bounds are continuous
-// values, so snapping them to the quantized sample grid would be wrong.
-// The single-query Estimate/Gradient path is unaffected: it feeds the
+// path: with Float32, EstimateBatch bounds tiles transfer as float32 lanes
+// (4 bytes per value, rounding the bounds through float32). The
+// single-query Estimate/Gradient path is unaffected: it feeds the
 // feedback and karma maintenance loop, which stays float64 end to end,
 // mirroring the host tiers (reduced precision is a serving optimization,
 // never a training one).

@@ -1,31 +1,27 @@
 package kde
 
 import (
-	"fmt"
-	"math"
-
 	"kdesel/internal/kernel"
 	"kdesel/internal/mathx"
 	"kdesel/internal/parallel"
 	"kdesel/internal/query"
 )
 
-// This file holds the compressed columnar serving tiers: a float32
-// structure-of-arrays mirror of the sample (mathx.Float32) and an int16
-// fixed-point mirror with per-dimension scale and offset (mathx.Quantized),
-// plus the fused Gaussian evaluators that stream them. The float64 mirror
-// stays authoritative — tiers are derived read copies, rebuilt by
-// SetSampleFlat and patched in place by ReplacePoint — and per-query
-// partial sums always accumulate in float64, so reduced precision narrows
-// the per-element arithmetic and the bytes moved, never the reduction.
+// This file holds the compressed columnar serving tier: a float32
+// structure-of-arrays mirror of the sample (mathx.Float32), plus the fused
+// Gaussian evaluators that stream it. The float64 mirror stays
+// authoritative — the tier is a derived read copy, rebuilt by SetSampleFlat
+// and patched in place by ReplacePoint — and per-query partial sums always
+// accumulate in float64, so reduced precision narrows the per-element
+// arithmetic and the bytes moved, never the reduction.
 //
 // Determinism matches fused.go: the same fixed chunk grid, per-row products
 // in ascending dimension order with the zero short-circuit, chunk partials
-// combined in chunk-index order. Serial and parallel execution of a tier
+// combined in chunk-index order. Serial and parallel execution of the tier
 // are bit-identical, and the batch evaluator is bit-identical to the
-// per-query one. The tiers are approximate only relative to the float64
-// path (error contracts in mathx.Precision docs); they are exact about
-// their own arithmetic.
+// per-query one. The tier is approximate only relative to the float64 path
+// (error contract in mathx.Precision docs); it is exact about its own
+// arithmetic.
 
 const (
 	// qc32Stride is the per-dimension slot count of the hoisted float32
@@ -55,10 +51,10 @@ func (s *fusedScratch) acc32Buf(n int) []float32 {
 
 // SetPrecision selects the numeric tier the serving entry points read
 // through and (re)builds that tier from the current sample. Float64 (the
-// default) drops the tiers and restores the exact pre-tier serving path.
-// The setting only takes effect on the fused Gaussian path (fusedOK);
-// estimators with non-Gaussian kernels or a forced generic layout keep
-// serving float64 whatever the setting.
+// default) drops the float32 tier and restores the exact pre-tier serving
+// path. The setting only takes effect on the fused Gaussian path
+// (fusedOK); estimators with non-Gaussian kernels or a forced generic
+// layout keep serving float64 whatever the setting.
 func (e *Estimator) SetPrecision(p mathx.Precision) {
 	e.prec = p
 	e.rebuildTiers()
@@ -91,190 +87,38 @@ func (e *Estimator) SelectivityRef(q query.Range) (float64, error) {
 // configured precision when its tier is built and consistent with the
 // sample, Float64 otherwise. Callers have already checked fusedOK.
 func (e *Estimator) servePrecision() mathx.Precision {
-	switch e.prec {
-	case mathx.Float32:
-		if len(e.cols32) == len(e.cols) && len(e.cols) > 0 {
-			return mathx.Float32
-		}
-	case mathx.Quantized:
-		if len(e.q16) == len(e.cols) && len(e.cols) > 0 {
-			return mathx.Quantized
-		}
+	if e.prec == mathx.Float32 && len(e.cols32) == len(e.cols) && len(e.cols) > 0 {
+		return mathx.Float32
 	}
 	return mathx.Float64
 }
 
-// rebuildTiers refreshes the compressed tier selected by prec from the
-// float64 columnar mirror and drops the other; with prec == Float64 both
-// tiers are dropped. Called wherever rebuildColumns is.
+// rebuildTiers refreshes the float32 tier from the float64 columnar mirror
+// when prec selects it and drops it otherwise. Called wherever
+// rebuildColumns is.
 func (e *Estimator) rebuildTiers() {
-	switch e.prec {
-	case mathx.Float32:
-		e.q16, e.qScale, e.qOff = nil, nil, nil
-		if cap(e.cols32) < len(e.cols) {
-			e.cols32 = make([]float32, len(e.cols))
-		}
-		e.cols32 = e.cols32[:len(e.cols)]
-		for i, v := range e.cols {
-			e.cols32[i] = float32(v)
-		}
-	case mathx.Quantized:
+	if e.prec != mathx.Float32 {
 		e.cols32 = nil
-		e.quantizeColumns()
-	default:
-		e.cols32, e.q16, e.qScale, e.qOff = nil, nil, nil, nil
+		return
+	}
+	if cap(e.cols32) < len(e.cols) {
+		e.cols32 = make([]float32, len(e.cols))
+	}
+	e.cols32 = e.cols32[:len(e.cols)]
+	for i, v := range e.cols {
+		e.cols32[i] = float32(v)
 	}
 }
 
-// quantizeColumns builds the int16 fixed-point tier: per dimension j the
-// column range [lo, hi] maps linearly onto the 65536 codes, stored as
-// code − 32768 so the int16 zero point sits mid-range. The kernel
-// dequantizes t = qOff[j] + qScale[j]·code, so qOff folds in the +32768
-// rebias: qScale = step, qOff = lo + 32768·step. Codes are computed
-// against the float32-rounded constants the kernel will decode with, which
-// keeps the encode/decode round trip as tight as float32 allows.
-func (e *Estimator) quantizeColumns() {
-	s, d := e.Size(), e.d
-	if cap(e.q16) < len(e.cols) {
-		e.q16 = make([]int16, len(e.cols))
-	}
-	e.q16 = e.q16[:len(e.cols)]
-	if cap(e.qScale) < d {
-		e.qScale = make([]float32, d)
-		e.qOff = make([]float32, d)
-	}
-	e.qScale, e.qOff = e.qScale[:d], e.qOff[:d]
-	if len(e.pinScale) == d && len(e.pinOff) == d {
-		copy(e.qScale, e.pinScale)
-		copy(e.qOff, e.pinOff)
-	} else {
-		for j := 0; j < d; j++ {
-			col := e.cols[j*s : (j+1)*s]
-			lo, hi := col[0], col[0]
-			for _, v := range col {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			e.qScale[j], e.qOff[j] = quantConsts(lo, hi)
-		}
-	}
-	for j := 0; j < d; j++ {
-		col := e.cols[j*s : (j+1)*s]
-		q := e.q16[j*s : (j+1)*s]
-		scale := e.qScale[j]
-		if scale == 0 {
-			// Degenerate (constant) dimension, or a range that underflows
-			// float32: every code decodes to the offset.
-			for i := range q {
-				q[i] = 0
-			}
-			continue
-		}
-		effStep := float64(scale)
-		effLo := float64(e.qOff[j]) - 32768*effStep
-		for i, v := range col {
-			q[i] = quantize16(v, effLo, effStep)
-		}
-	}
-}
-
-// quantConsts derives one dimension's dequantization constants from its
-// value range: qScale = step, qOff = lo + 32768·step (see quantizeColumns).
-// A degenerate or float32-underflowing range yields scale 0.
-func quantConsts(lo, hi float64) (scale, off float32) {
-	step := (hi - lo) / 65535
-	scale = float32(step)
-	if !(step > 0) || scale == 0 {
-		return 0, float32(lo)
-	}
-	return scale, float32(lo + 32768*step)
-}
-
-// QuantConstants derives the per-dimension quantized-tier constants from a
-// row-major sample — exactly the constants quantizeColumns would derive for
-// an estimator holding that sample. A sharded group computes them once over
-// the full pre-partition sample and pins them into every shard
-// (PinQuantConstants), so shard-local column ranges never perturb the codes.
-func QuantConstants(data []float64, d int) (scale, off []float32) {
-	scale = make([]float32, d)
-	off = make([]float32, d)
-	if len(data) < d || d == 0 {
-		return scale, off
-	}
-	for j := 0; j < d; j++ {
-		lo, hi := data[j], data[j]
-		for i := d + j; i < len(data); i += d {
-			v := data[i]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		scale[j], off[j] = quantConsts(lo, hi)
-	}
-	return scale, off
-}
-
-// PinQuantConstants freezes the quantized tier's dequantization constants to
-// the supplied per-dimension scale/offset pairs; the tier is rebuilt if it is
-// currently active so existing codes re-encode against the pinned constants.
-// Passing nil slices unpins (constants derive from the sample again).
-func (e *Estimator) PinQuantConstants(scale, off []float32) error {
-	if scale == nil && off == nil {
-		e.pinScale, e.pinOff = nil, nil
-	} else {
-		if len(scale) != e.d || len(off) != e.d {
-			return fmt.Errorf("kde: pinned quant constants have dims (%d,%d), want %d", len(scale), len(off), e.d)
-		}
-		e.pinScale = append([]float32(nil), scale...)
-		e.pinOff = append([]float32(nil), off...)
-	}
-	if e.prec == mathx.Quantized && len(e.cols) > 0 {
-		e.quantizeColumns()
-	}
-	return nil
-}
-
-// quantize16 encodes one value against the effective (float32-rounded)
-// dequantization constants, clamping to the code range; non-finite values
-// clamp rather than poison the index arithmetic.
-func quantize16(v, effLo, effStep float64) int16 {
-	c := math.Round((v - effLo) / effStep)
-	if !(c > 0) {
-		c = 0
-	} else if c > 65535 {
-		c = 65535
-	}
-	return int16(int(c) - 32768)
-}
-
-// replaceTierPoint patches sample point i into whichever tier is built
-// (the ReplacePoint counterpart of rebuildTiers). Quantized codes reuse the
-// dimension's existing scale and offset, clamping values outside the range
-// the tier was built for; the drift this can accumulate under sample churn
-// is what the serving layer's periodic re-verification bounds.
+// replaceTierPoint patches sample point i into the float32 tier when it is
+// built (the ReplacePoint counterpart of rebuildTiers).
 func (e *Estimator) replaceTierPoint(i int, p []float64) {
-	s := e.Size()
-	if len(e.cols32) > 0 {
-		for j, v := range p {
-			e.cols32[j*s+i] = float32(v)
-		}
+	if len(e.cols32) == 0 {
+		return
 	}
-	if len(e.q16) > 0 {
-		for j, v := range p {
-			if scale := e.qScale[j]; scale == 0 {
-				e.q16[j*s+i] = 0
-			} else {
-				effStep := float64(scale)
-				e.q16[j*s+i] = quantize16(v, float64(e.qOff[j])-32768*effStep, effStep)
-			}
-		}
+	s := e.Size()
+	for j, v := range p {
+		e.cols32[j*s+i] = float32(v)
 	}
 }
 
@@ -294,27 +138,18 @@ func (e *Estimator) queryConsts32(q query.Range, qc []float32) {
 // their row-order sum accumulated in float64. When every row's running
 // product has saturated to zero the remaining dimensions are skipped:
 // multiplying an all-zero tile is a no-op, so the skip is bit-identical.
-func (e *Estimator) fusedMassChunk32(qc []float32, lo, hi int, acc []float32, quant bool) float64 {
+func (e *Estimator) fusedMassChunk32(qc []float32, lo, hi int, acc []float32) float64 {
 	n := hi - lo
 	s := e.Size()
 	acc = acc[:n]
 	for j := 0; j < e.d; j++ {
 		o := j * qc32Stride
-		nz := 0
-		if quant {
-			col := e.q16[j*s+lo : j*s+hi]
-			if j == 0 {
-				nz = kernel.GaussianMassFillQ16(acc, col, e.qScale[j], e.qOff[j], qc[o], qc[o+1], qc[o+2])
-			} else {
-				nz = kernel.GaussianMassMulQ16(acc, col, e.qScale[j], e.qOff[j], qc[o], qc[o+1], qc[o+2])
-			}
+		col := e.cols32[j*s+lo : j*s+hi]
+		var nz int
+		if j == 0 {
+			nz = kernel.GaussianMassFill32(acc, col, qc[o], qc[o+1], qc[o+2])
 		} else {
-			col := e.cols32[j*s+lo : j*s+hi]
-			if j == 0 {
-				nz = kernel.GaussianMassFill32(acc, col, qc[o], qc[o+1], qc[o+2])
-			} else {
-				nz = kernel.GaussianMassMul32(acc, col, qc[o], qc[o+1], qc[o+2])
-			}
+			nz = kernel.GaussianMassMul32(acc, col, qc[o], qc[o+1], qc[o+2])
 		}
 		if nz == 0 {
 			break
@@ -328,9 +163,8 @@ func (e *Estimator) fusedMassChunk32(qc []float32, lo, hi int, acc []float32, qu
 }
 
 // fusedSelectivity32 is the compressed-tier counterpart of
-// fusedSelectivity. Callers have validated the query and resolved the tier
-// (quant selects the int16 tier over the float32 one).
-func (e *Estimator) fusedSelectivity32(q query.Range, quant bool) float64 {
+// fusedSelectivity. Callers have validated the query and resolved the tier.
+func (e *Estimator) fusedSelectivity32(q query.Range) float64 {
 	s := e.Size()
 	fs := e.getFused()
 	qc := fs.qc32Buf(e.d * qc32Stride)
@@ -340,14 +174,14 @@ func (e *Estimator) fusedSelectivity32(q query.Range, quant bool) float64 {
 		acc := fs.acc32Buf(parallel.ChunkSize)
 		for c, nc := 0, parallel.Chunks(s); c < nc; c++ {
 			lo, hi := parallel.ChunkBounds(c, s)
-			total += e.fusedMassChunk32(qc, lo, hi, acc, quant)
+			total += e.fusedMassChunk32(qc, lo, hi, acc)
 		}
 	} else {
 		nc := parallel.Chunks(s)
 		partials := e.bufs.Get(nc)
 		e.pool.Run(s, func(c, lo, hi int) {
 			ws := e.getFused()
-			partials[c] = e.fusedMassChunk32(qc, lo, hi, ws.acc32Buf(parallel.ChunkSize), quant)
+			partials[c] = e.fusedMassChunk32(qc, lo, hi, ws.acc32Buf(parallel.ChunkSize))
 			e.putFused(ws)
 		})
 		for _, v := range partials {
@@ -365,12 +199,12 @@ func (e *Estimator) fusedSelectivity32(q query.Range, quant bool) float64 {
 // compressed column tile once per query tile. Per-(chunk, query) arithmetic
 // is exactly fusedMassChunk32's, so batch results are bit-identical to the
 // per-query path. Callers have validated the queries and resolved the tier.
-func (e *Estimator) fusedSelectivityBatch32(qs []query.Range, ests []float64, quant bool) {
+func (e *Estimator) fusedSelectivityBatch32(qs []query.Range, ests []float64) {
 	nq := len(qs)
 	s := e.Size()
 	nc := parallel.Chunks(s)
 	partials := e.bufs.Get(nc * nq)
-	e.fusedBatchPartials32(qs, partials, quant)
+	e.fusedBatchPartials32(qs, partials)
 	for iq := 0; iq < nq; iq++ {
 		sum := 0.0
 		for c := 0; c < nc; c++ {
@@ -385,7 +219,7 @@ func (e *Estimator) fusedSelectivityBatch32(qs []query.Range, ests []float64, qu
 // mass sum for query iq through the compressed tier — the shared
 // partial-fill stage behind fusedSelectivityBatch32 and
 // SelectivityBatchPartials. Every entry is assigned, never accumulated.
-func (e *Estimator) fusedBatchPartials32(qs []query.Range, partials []float64, quant bool) {
+func (e *Estimator) fusedBatchPartials32(qs []query.Range, partials []float64) {
 	nq := len(qs)
 	s, d := e.Size(), e.d
 	fs := e.getFused()
@@ -403,34 +237,17 @@ func (e *Estimator) fusedBatchPartials32(qs []query.Range, partials []float64, q
 			qn := min(batchQTile32, nq-q0)
 			for j := 0; j < d; j++ {
 				o := j * qc32Stride
-				if quant {
-					col := e.q16[j*s+lo : j*s+hi]
-					scale, off := e.qScale[j], e.qOff[j]
-					for t := 0; t < qn; t++ {
-						if j != 0 && nz[t] == 0 {
-							continue // dead tile: multiplying zeros is a no-op
-						}
-						qc := qcAll[(q0+t)*d*qc32Stride:]
-						a := acc[t*parallel.ChunkSize : t*parallel.ChunkSize+n]
-						if j == 0 {
-							nz[t] = kernel.GaussianMassFillQ16(a, col, scale, off, qc[o], qc[o+1], qc[o+2])
-						} else {
-							nz[t] = kernel.GaussianMassMulQ16(a, col, scale, off, qc[o], qc[o+1], qc[o+2])
-						}
+				col := e.cols32[j*s+lo : j*s+hi]
+				for t := 0; t < qn; t++ {
+					if j != 0 && nz[t] == 0 {
+						continue // dead tile: multiplying zeros is a no-op
 					}
-				} else {
-					col := e.cols32[j*s+lo : j*s+hi]
-					for t := 0; t < qn; t++ {
-						if j != 0 && nz[t] == 0 {
-							continue // dead tile: multiplying zeros is a no-op
-						}
-						qc := qcAll[(q0+t)*d*qc32Stride:]
-						a := acc[t*parallel.ChunkSize : t*parallel.ChunkSize+n]
-						if j == 0 {
-							nz[t] = kernel.GaussianMassFill32(a, col, qc[o], qc[o+1], qc[o+2])
-						} else {
-							nz[t] = kernel.GaussianMassMul32(a, col, qc[o], qc[o+1], qc[o+2])
-						}
+					qc := qcAll[(q0+t)*d*qc32Stride:]
+					a := acc[t*parallel.ChunkSize : t*parallel.ChunkSize+n]
+					if j == 0 {
+						nz[t] = kernel.GaussianMassFill32(a, col, qc[o], qc[o+1], qc[o+2])
+					} else {
+						nz[t] = kernel.GaussianMassMul32(a, col, qc[o], qc[o+1], qc[o+2])
 					}
 				}
 			}

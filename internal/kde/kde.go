@@ -56,29 +56,15 @@ type Estimator struct {
 	cols         []float64
 	forceGeneric bool
 
-	// Compressed columnar read tiers (fused32.go). prec selects the tier the
+	// Compressed columnar read tier (fused32.go). prec selects the tier the
 	// serving entry points (Selectivity, SelectivityBatch) read through;
-	// cols32 is the float32 mirror of cols, and q16/qScale/qOff are the int16
-	// fixed-point tier with per-dimension dequantization constants. The tiers
-	// are rebuilt by SetSampleFlat and patched in place by ReplacePoint, so
-	// like cols they are always in sync with data. Gradient, contribution,
-	// and density paths always read the float64 buffers regardless of prec:
-	// reduced precision is a serving optimization, never a training one.
+	// cols32 is the float32 mirror of cols. The tier is rebuilt by
+	// SetSampleFlat and patched in place by ReplacePoint, so like cols it is
+	// always in sync with data. Gradient, contribution, and density paths
+	// always read the float64 buffers regardless of prec: reduced precision
+	// is a serving optimization, never a training one.
 	prec   mathx.Precision
 	cols32 []float32
-	q16    []int16
-	qScale []float32
-	qOff   []float32
-
-	// pinScale/pinOff, when non-nil, freeze the quantized tier's
-	// per-dimension dequantization constants instead of deriving them from
-	// this estimator's own column ranges (PinQuantConstants). A sharded
-	// group pins one set of globally derived constants into every shard so
-	// all shards encode identical int16 codes for identical values — the
-	// property that keeps quantized shard partials bit-identical to the
-	// single-estimator path.
-	pinScale []float32
-	pinOff   []float32
 
 	// gen counts sample-content generations: SetSampleFlat and ReplacePoint
 	// bump it, so Snapshot can tell a bandwidth-only change (share the frozen
@@ -369,8 +355,8 @@ func (e *Estimator) Selectivity(q query.Range) (float64, error) {
 		return 0, err
 	}
 	if e.fusedOK() {
-		if p := e.servePrecision(); p != mathx.Float64 {
-			return e.fusedSelectivity32(q, p == mathx.Quantized), nil
+		if e.servePrecision() == mathx.Float32 {
+			return e.fusedSelectivity32(q), nil
 		}
 		return e.fusedSelectivity(q, nil), nil
 	}
@@ -581,8 +567,8 @@ func (e *Estimator) SelectivityBatch(qs []query.Range, ests []float64) error {
 		return nil
 	}
 	if e.fusedOK() {
-		if p := e.servePrecision(); p != mathx.Float64 {
-			e.fusedSelectivityBatch32(qs, ests, p == mathx.Quantized)
+		if e.servePrecision() == mathx.Float32 {
+			e.fusedSelectivityBatch32(qs, ests)
 			return nil
 		}
 		e.fusedSelectivityBatch(qs, ests)
@@ -647,8 +633,8 @@ func (e *Estimator) SelectivityBatchPartials(qs []query.Range, partials []float6
 		return nil
 	}
 	if e.fusedOK() {
-		if p := e.servePrecision(); p != mathx.Float64 {
-			e.fusedBatchPartials32(qs, partials, p == mathx.Quantized)
+		if e.servePrecision() == mathx.Float32 {
+			e.fusedBatchPartials32(qs, partials)
 			return nil
 		}
 		e.fusedBatchPartials(qs, partials)
@@ -921,10 +907,6 @@ func (e *Estimator) Clone() *Estimator {
 	if e.kerns != nil {
 		out.kerns = make([]kernel.Kernel, len(e.kerns))
 		copy(out.kerns, e.kerns)
-	}
-	if e.pinScale != nil {
-		out.pinScale = append([]float32(nil), e.pinScale...)
-		out.pinOff = append([]float32(nil), e.pinOff...)
 	}
 	out.data = make([]float64, len(e.data))
 	copy(out.data, e.data)

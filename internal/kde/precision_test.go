@@ -70,15 +70,14 @@ func randomPrecEstimator(t *testing.T, rng *rand.Rand, d, s int) (*Estimator, []
 
 // TestPrecisionTierContracts is the cross-precision equivalence property
 // test: over random samples, random bandwidths, and random queries, the
-// five serving modes — generic float64, fused float64 (exact and fast
-// erf), float32 tier, and quantized tier — agree within their contracts:
-// float64 modes within ulp-scale of each other (covered by
-// TestCrossLayoutEquivalence), float32 within 1e-5 relative, quantized
-// within 1e-3 relative (floored at 1% selectivity). The Makefile
+// four serving modes — generic float64, fused float64 (exact and fast
+// erf), and float32 tier — agree within their contracts: float64 modes
+// within ulp-scale of each other (covered by TestCrossLayoutEquivalence),
+// float32 within 1e-5 relative (floored at 1% selectivity). The Makefile
 // precision-accuracy gate greps for this test; it must never be skipped.
 func TestPrecisionTierContracts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
-	worst32, worstQ := 0.0, 0.0
+	worst32 := 0.0
 	for trial := 0; trial < 6; trial++ {
 		d := []int{1, 2, 4, 8}[trial%4]
 		s := 512 + rng.Intn(1500)
@@ -99,22 +98,9 @@ func TestPrecisionTierContracts(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		eq := e.Clone()
-		eq.SetPrecision(mathx.Quantized)
-		if got := eq.servePrecision(); got != mathx.Quantized {
-			t.Fatalf("trial %d: quantized tier not serving (got %v)", trial, got)
-		}
-		gotQ := make([]float64, len(qs))
-		if err := eq.SelectivityBatch(qs, gotQ); err != nil {
-			t.Fatal(err)
-		}
-
 		for i := range qs {
 			if r := precRelErr(got32[i], ref[i], precContractFloor); r > worst32 {
 				worst32 = r
-			}
-			if r := precRelErr(gotQ[i], ref[i], precContractFloor); r > worstQ {
-				worstQ = r
 			}
 			// Batch and per-query compressed paths are bit-identical.
 			s32, err := e32.Selectivity(qs[i])
@@ -124,28 +110,18 @@ func TestPrecisionTierContracts(t *testing.T) {
 			if !bitsEqual(s32, got32[i]) {
 				t.Fatalf("trial %d q%d: float32 batch %v != per-query %v", trial, i, got32[i], s32)
 			}
-			sq, err := eq.Selectivity(qs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitsEqual(sq, gotQ[i]) {
-				t.Fatalf("trial %d q%d: quantized batch %v != per-query %v", trial, i, gotQ[i], sq)
-			}
 		}
 	}
 	if worst32 > 1e-5 {
 		t.Fatalf("float32 tier max relative error %.3g exceeds 1e-5 contract", worst32)
 	}
-	if worstQ > 1e-3 {
-		t.Fatalf("quantized tier max relative error %.3g exceeds 1e-3 contract", worstQ)
-	}
-	t.Logf("max relative error: float32 %.3g (contract 1e-5), quantized %.3g (contract 1e-3)", worst32, worstQ)
+	t.Logf("max relative error: float32 %.3g (contract 1e-5)", worst32)
 }
 
 // TestPrecisionFloat64Unchanged proves the default path is untouched by the
 // tier machinery: an estimator with Float64 precision (set explicitly or
 // never set) returns bit-identical estimates to one that has cycled
-// through the compressed tiers and back, on every serving entry point —
+// through the float32 tier and back, on every serving entry point —
 // and an estimator configured Float32 still runs its float64 entry points
 // (Contributions, gradients) bit-identically, since reduced precision
 // applies only to Selectivity and SelectivityBatch.
@@ -155,10 +131,9 @@ func TestPrecisionFloat64Unchanged(t *testing.T) {
 
 	cycled := e.Clone()
 	cycled.SetPrecision(mathx.Float32)
-	cycled.SetPrecision(mathx.Quantized)
 	cycled.SetPrecision(mathx.Float64)
-	if len(cycled.cols32) != 0 || len(cycled.q16) != 0 {
-		t.Fatal("Float64 precision should drop the compressed tiers")
+	if len(cycled.cols32) != 0 {
+		t.Fatal("Float64 precision should drop the float32 tier")
 	}
 
 	e32 := e.Clone()
@@ -212,51 +187,47 @@ func TestPrecisionFloat64Unchanged(t *testing.T) {
 	}
 }
 
-// TestPrecisionParallelBitIdentical asserts the tier paths keep the repo's
-// central determinism guarantee: for every worker count, compressed-tier
+// TestPrecisionParallelBitIdentical asserts the float32 tier keeps the
+// repo's central determinism guarantee: for every worker count, float32-tier
 // Selectivity and SelectivityBatch return exactly the serial bits.
 func TestPrecisionParallelBitIdentical(t *testing.T) {
-	for _, p := range []mathx.Precision{mathx.Float32, mathx.Quantized} {
-		e, qs := detEstimator(t, 5)
-		e.SetPrecision(p)
-		refB := make([]float64, len(qs))
-		if err := e.SelectivityBatch(qs, refB); err != nil {
+	e, qs := detEstimator(t, 5)
+	e.SetPrecision(mathx.Float32)
+	refB := make([]float64, len(qs))
+	if err := e.SelectivityBatch(qs, refB); err != nil {
+		t.Fatal(err)
+	}
+	refS := make([]float64, len(qs))
+	for i, q := range qs {
+		v, err := e.Selectivity(q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		refS := make([]float64, len(qs))
-		for i, q := range qs {
-			v, err := e.Selectivity(q)
+		refS[i] = v
+	}
+	for _, w := range workerCounts {
+		e.SetWorkers(w)
+		got := make([]float64, len(qs))
+		if err := e.SelectivityBatch(qs, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !bitsEqual(got[i], refB[i]) {
+				t.Fatalf("workers=%d q%d: batch not bit-identical to serial", w, i)
+			}
+			v, err := e.Selectivity(qs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			refS[i] = v
-		}
-		for _, w := range workerCounts {
-			e.SetWorkers(w)
-			got := make([]float64, len(qs))
-			if err := e.SelectivityBatch(qs, got); err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if !bitsEqual(got[i], refB[i]) {
-					t.Fatalf("%v workers=%d q%d: batch not bit-identical to serial", p, w, i)
-				}
-				v, err := e.Selectivity(qs[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bitsEqual(v, refS[i]) {
-					t.Fatalf("%v workers=%d q%d: Selectivity not bit-identical to serial", p, w, i)
-				}
+			if !bitsEqual(v, refS[i]) {
+				t.Fatalf("workers=%d q%d: Selectivity not bit-identical to serial", w, i)
 			}
 		}
 	}
 }
 
-// TestPrecisionReplacePointSync checks ReplacePoint keeps the compressed
-// tiers consistent: for float32 the patched tier must match a from-scratch
-// rebuild exactly; for quantized the patched point re-encodes against the
-// tier's existing constants and must stay within the quantization step.
+// TestPrecisionReplacePointSync checks ReplacePoint keeps the float32 tier
+// consistent: the patched tier must match a from-scratch rebuild exactly.
 func TestPrecisionReplacePointSync(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e, qs := randomPrecEstimator(t, rng, 3, 600)
@@ -280,22 +251,6 @@ func TestPrecisionReplacePointSync(t *testing.T) {
 		}
 		if !bitsEqual(a, b) {
 			t.Fatalf("q%d: patched float32 tier differs from rebuilt tier: %v vs %v", i, a, b)
-		}
-	}
-
-	eq, _ := randomPrecEstimator(t, rng, 3, 600)
-	eq.SetPrecision(mathx.Quantized)
-	scale := eq.qScale[0]
-	for i := 0; i < 40; i++ {
-		idx := rng.Intn(eq.Size())
-		// Stay inside the built range so clamping is not exercised here.
-		row := []float64{eq.cols[idx], eq.cols[600+idx], eq.cols[1200+idx]}
-		if err := eq.ReplacePoint(idx, row); err != nil {
-			t.Fatal(err)
-		}
-		got := float64(eq.qOff[0]) + float64(eq.qScale[0])*float64(eq.q16[idx])
-		if math.Abs(got-row[0]) > float64(scale)*0.51+1e-6 {
-			t.Fatalf("replace %d: dequantized %v vs %v beyond half a step", i, got, row[0])
 		}
 	}
 }

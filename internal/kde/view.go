@@ -58,15 +58,12 @@ func (e *Estimator) Snapshot(prev *View) *View {
 		len(prev.est.data) == len(e.data) && prev.est.prec == e.prec {
 		// Sample content unchanged since the previous view: its buffers are
 		// frozen (no writer ever touches a published view), so they can be
-		// shared instead of copied. The compressed tiers are derived from the
-		// same content at the same precision, so they are shared on the same
+		// shared instead of copied. The float32 tier is derived from the same
+		// content at the same precision, so it is shared on the same
 		// condition.
 		v.data = prev.est.data
 		v.cols = prev.est.cols
 		v.cols32 = prev.est.cols32
-		v.q16 = prev.est.q16
-		v.qScale = prev.est.qScale
-		v.qOff = prev.est.qOff
 	} else {
 		v.data = make([]float64, len(e.data))
 		copy(v.data, e.data)
@@ -75,14 +72,6 @@ func (e *Estimator) Snapshot(prev *View) *View {
 		if len(e.cols32) > 0 {
 			v.cols32 = make([]float32, len(e.cols32))
 			copy(v.cols32, e.cols32)
-		}
-		if len(e.q16) > 0 {
-			v.q16 = make([]int16, len(e.q16))
-			copy(v.q16, e.q16)
-			v.qScale = make([]float32, len(e.qScale))
-			copy(v.qScale, e.qScale)
-			v.qOff = make([]float32, len(e.qOff))
-			copy(v.qOff, e.qOff)
 		}
 	}
 	return &View{est: v}

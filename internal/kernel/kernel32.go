@@ -8,10 +8,9 @@ import (
 
 // Float32 Gaussian mass kernels for the compressed columnar serving tier
 // (kde/fused32.go). They mirror GaussianMassFill/GaussianMassMul on
-// []float32 columns (and on int16 fixed-point columns, dequantized inline),
-// with the erf evaluated by the FastErf32 segment table. There is no
-// Exact/Fast switch here: float32 arithmetic caps the achievable accuracy
-// below math.Erf's anyway, so the reduced-precision tiers always use the
+// []float32 columns, with the erf evaluated by the FastErf32 segment table.
+// There is no Exact/Fast switch here: float32 arithmetic caps the achievable accuracy
+// below math.Erf's anyway, so the reduced-precision tier always uses the
 // table and the distinction collapses (the snapshot still pins the erf mode
 // for the float64 tier it may fall back to).
 //
@@ -140,81 +139,6 @@ func GaussianMassMul32(dst, col []float32, l, u, inv float32) int {
 		if dst[i] == 0 {
 			continue
 		}
-		du, dl := (u-t)*inv, (l-t)*inv
-		bu, bl := math.Float32bits(du), math.Float32bits(dl)
-		su := math.Float32frombits(bu&sign32 | one32)
-		sl := math.Float32frombits(bl&sign32 | one32)
-		au := math.Float32frombits(bu &^ sign32)
-		al := math.Float32frombits(bl &^ sign32)
-		eu, el := su, sl
-		if au < mathx.Erf32Tail {
-			k := (int(au*mathx.Erf32Scale) & (mathx.Erf32Segs - 1)) * 4
-			w := au - (float32(k>>2)+0.5)*(1/mathx.Erf32Scale)
-			eu = su * (((tab[k+3]*w+tab[k+2])*w+tab[k+1])*w + tab[k])
-		}
-		if al < mathx.Erf32Tail {
-			k := (int(al*mathx.Erf32Scale) & (mathx.Erf32Segs - 1)) * 4
-			w := al - (float32(k>>2)+0.5)*(1/mathx.Erf32Scale)
-			el = sl * (((tab[k+3]*w+tab[k+2])*w+tab[k+1])*w + tab[k])
-		}
-		m := dst[i] * (0.5 * (eu - el))
-		if m < massFloor32 && m > -massFloor32 {
-			m = 0
-		} else {
-			nz++
-		}
-		dst[i] = m
-	}
-	return nz
-}
-
-// GaussianMassFillQ16 is GaussianMassFill32 over an int16 fixed-point
-// column: the center dequantizes inline as t = off + scale·code, so the
-// quantized tier streams 2 bytes per value without a separate decode pass
-// or scratch column. Returns the number of nonzero masses written.
-func GaussianMassFillQ16(dst []float32, col []int16, scale, off, l, u, inv float32) int {
-	tab := mathx.Erf32Table()
-	_ = dst[len(col)-1]
-	nz := 0
-	for i, q := range col {
-		t := off + scale*float32(q)
-		du, dl := (u-t)*inv, (l-t)*inv
-		bu, bl := math.Float32bits(du), math.Float32bits(dl)
-		su := math.Float32frombits(bu&sign32 | one32)
-		sl := math.Float32frombits(bl&sign32 | one32)
-		au := math.Float32frombits(bu &^ sign32)
-		al := math.Float32frombits(bl &^ sign32)
-		eu, el := su, sl
-		if au < mathx.Erf32Tail {
-			k := (int(au*mathx.Erf32Scale) & (mathx.Erf32Segs - 1)) * 4
-			w := au - (float32(k>>2)+0.5)*(1/mathx.Erf32Scale)
-			eu = su * (((tab[k+3]*w+tab[k+2])*w+tab[k+1])*w + tab[k])
-		}
-		if al < mathx.Erf32Tail {
-			k := (int(al*mathx.Erf32Scale) & (mathx.Erf32Segs - 1)) * 4
-			w := al - (float32(k>>2)+0.5)*(1/mathx.Erf32Scale)
-			el = sl * (((tab[k+3]*w+tab[k+2])*w+tab[k+1])*w + tab[k])
-		}
-		m := 0.5 * (eu - el)
-		dst[i] = m
-		if m != 0 {
-			nz++
-		}
-	}
-	return nz
-}
-
-// GaussianMassMulQ16 is GaussianMassMul32 over an int16 fixed-point column,
-// with the same zero short-circuit. Returns the number of rows left nonzero.
-func GaussianMassMulQ16(dst []float32, col []int16, scale, off, l, u, inv float32) int {
-	tab := mathx.Erf32Table()
-	_ = dst[len(col)-1]
-	nz := 0
-	for i, q := range col {
-		if dst[i] == 0 {
-			continue
-		}
-		t := off + scale*float32(q)
 		du, dl := (u-t)*inv, (l-t)*inv
 		bu, bl := math.Float32bits(du), math.Float32bits(dl)
 		su := math.Float32frombits(bu&sign32 | one32)

@@ -110,59 +110,20 @@ func TestGaussianMass32Columnar(t *testing.T) {
 	}
 }
 
-// TestGaussianMassQ16 checks the int16 fixed-point kernels dequantize
-// exactly as documented: the mass of code q must equal the float32 mass of
-// the dequantized center off + scale·q.
-func TestGaussianMassQ16(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 129
-	codes := make([]int16, n)
-	for i := range codes {
-		codes[i] = int16(rng.Intn(65536) - 32768)
-	}
-	scale, off := float32(3.0/65535), float32(1.5)
-	inv := GaussianInv32(0.2)
-	l, u := float32(1.2), float32(1.9)
-
-	dst := make([]float32, n)
-	GaussianMassFillQ16(dst, codes, scale, off, l, u, inv)
-	acc := make([]float32, n)
-	for i := range acc {
-		acc[i] = 1
-	}
-	acc[7] = 0
-	GaussianMassMulQ16(acc, codes, scale, off, l, u, inv)
-	for i := range dst {
-		tc := off + scale*float32(codes[i])
-		if want := GaussianMassScaled32(l, u, tc, inv); dst[i] != want {
-			t.Fatalf("FillQ16[%d] = %v, want %v (t=%v)", i, dst[i], want, tc)
-		}
-		if i == 7 {
-			if acc[i] != 0 {
-				t.Fatalf("MulQ16 revived zero row: %v", acc[i])
-			}
-		} else if acc[i] != dst[i] {
-			t.Fatalf("MulQ16[%d] = %v, want %v", i, acc[i], dst[i])
-		}
-	}
-}
-
-func benchCols(n int) ([]float64, []float32, []int16) {
+func benchCols(n int) ([]float64, []float32) {
 	rng := rand.New(rand.NewSource(42))
 	c64 := make([]float64, n)
 	c32 := make([]float32, n)
-	q := make([]int16, n)
 	for i := range c64 {
 		c64[i] = rng.NormFloat64()
 		c32[i] = float32(c64[i])
-		q[i] = int16(rng.Intn(65536) - 32768)
 	}
-	return c64, c32, q
+	return c64, c32
 }
 
 func BenchmarkGaussianMassFill(b *testing.B) {
 	const n = 4096
-	c64, c32, q16 := benchCols(n)
+	c64, c32 := benchCols(n)
 	d64 := make([]float64, n)
 	d32 := make([]float32, n)
 	inv64, _, _ := GaussianConsts(0.3)
@@ -179,17 +140,11 @@ func BenchmarkGaussianMassFill(b *testing.B) {
 			GaussianMassFill32(d32, c32, -0.5, 0.5, inv)
 		}
 	})
-	b.Run("q16", func(b *testing.B) {
-		b.SetBytes(n * 2)
-		for i := 0; i < b.N; i++ {
-			GaussianMassFillQ16(d32, q16, 3.0/65535, 0, -0.5, 0.5, inv)
-		}
-	})
 }
 
 func BenchmarkGaussianMassMul(b *testing.B) {
 	const n = 4096
-	c64, c32, q16 := benchCols(n)
+	c64, c32 := benchCols(n)
 	d64 := make([]float64, n)
 	d32 := make([]float32, n)
 	inv64, _, _ := GaussianConsts(0.3)
@@ -213,13 +168,6 @@ func BenchmarkGaussianMassMul(b *testing.B) {
 		b.SetBytes(n * 4)
 		for i := 0; i < b.N; i++ {
 			GaussianMassMul32(d32, c32, -0.5, 0.5, inv)
-		}
-	})
-	b.Run("q16", func(b *testing.B) {
-		reset32()
-		b.SetBytes(n * 2)
-		for i := 0; i < b.N; i++ {
-			GaussianMassMulQ16(d32, q16, 3.0/65535, 0, -0.5, 0.5, inv)
 		}
 	})
 }

@@ -104,7 +104,7 @@ func TestParsePrecision(t *testing.T) {
 		ok   bool
 	}{
 		{"float64", Float64, true}, {"", Float64, true},
-		{"float32", Float32, true}, {"quantized", Quantized, true},
+		{"float32", Float32, true}, {"quantized", Float64, false},
 		{"FLOAT32", Float64, false}, {"f32", Float64, false},
 	} {
 		got, ok := ParsePrecision(c.in)
@@ -116,13 +116,13 @@ func TestParsePrecision(t *testing.T) {
 		p    Precision
 		size int
 	}{
-		{Float64, 8}, {Float32, 4}, {Quantized, 2}, {Precision(9), 8},
+		{Float64, 8}, {Float32, 4}, {Precision(2), 8}, {Precision(9), 8},
 	} {
 		if got := c.p.ElementSize(); got != c.size {
 			t.Fatalf("%v.ElementSize() = %d, want %d", c.p, got, c.size)
 		}
 	}
-	for _, p := range []Precision{Float64, Float32, Quantized, Precision(9)} {
+	for _, p := range []Precision{Float64, Float32, Precision(2), Precision(9)} {
 		if p.String() == "" {
 			t.Fatalf("Precision(%d).String() empty", p)
 		}

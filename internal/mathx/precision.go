@@ -20,10 +20,6 @@ const (
 	// contract: max relative estimate error ≤ 1e-5 against Float64,
 	// verified at publish time (core.precisionVerify).
 	Float32
-	// Quantized reads int16 fixed-point columns (per-dimension scale and
-	// offset), dequantized to float32 tiles in the kernel. Error contract:
-	// max relative estimate error ≤ 1e-3 against Float64.
-	Quantized
 )
 
 // String implements fmt.Stringer with the CLI flag grammar.
@@ -33,14 +29,12 @@ func (p Precision) String() string {
 		return "float64"
 	case Float32:
 		return "float32"
-	case Quantized:
-		return "quantized"
 	default:
 		return "precision(?)"
 	}
 }
 
-// ParsePrecision maps the textual knob ("float64", "float32", "quantized")
+// ParsePrecision maps the textual knob ("float64", "float32")
 // to a Precision; the empty string is the Float64 default.
 func ParsePrecision(s string) (Precision, bool) {
 	switch s {
@@ -48,8 +42,6 @@ func ParsePrecision(s string) (Precision, bool) {
 		return Float64, true
 	case "float32":
 		return Float32, true
-	case "quantized":
-		return Quantized, true
 	}
 	return Float64, false
 }
@@ -61,8 +53,6 @@ func (p Precision) ElementSize() int {
 	switch p {
 	case Float32:
 		return 4
-	case Quantized:
-		return 2
 	default:
 		return 8
 	}

@@ -320,7 +320,8 @@ func (r *Registry) Admit(key Key, tab *table.Table, buildCfg core.Config, serveC
 // build-config fields that shape the model (SampleSize, Seed, Loss,
 // Learner, Karma, Faults) carry over; Metrics and Workers are overridden
 // by the registry's shared resources exactly as in Admit, and
-// serveCfg.Precision selects every shard's serving tier. Sharded models
+// serveCfg.Precision (Float64 or Float32) selects every shard's serving
+// tier. Sharded models
 // get the same lifecycle as plain ones: per-model metric namespace (plus
 // shard<i>. sub-namespaces), checkpoint rotation (one atomic multi-frame
 // file covering all shards), eviction, and restore-on-demand. They serve

@@ -7,16 +7,17 @@ import (
 	"os"
 
 	"kdesel/internal/checkpoint"
+	"kdesel/internal/core"
 	"kdesel/internal/learner"
-	"kdesel/internal/mathx"
 	"kdesel/internal/sample"
 	"kdesel/internal/table"
 )
 
 // groupState is the gob payload of checkpoint frame 0: everything shared
 // across shards — learned bandwidth, learner accumulators, karma scores,
-// RNG stream position, pinned quantization constants — so a restored
-// group continues bit-identically from the checkpoint.
+// RNG stream position — so a restored group continues bit-identically
+// from the checkpoint. Frames written before the int16 tier was retired
+// also carry PinScale/PinOff; gob skips fields the struct no longer has.
 type groupState struct {
 	K      int
 	D      int
@@ -29,9 +30,6 @@ type groupState struct {
 	Learner  learner.State
 	Karma    []float64
 	Analyzes int
-
-	PinScale []float32
-	PinOff   []float32
 
 	// IngestSeq is the change-feed cursor (see Group.IngestCursor). Gob
 	// omits zero values, so pre-ingestion frames restore with cursor 0.
@@ -66,8 +64,6 @@ func (g *Group) Checkpoint(path string) error {
 		Learner:   g.learn.State(),
 		Karma:     g.maint.Karma.Scores(),
 		Analyzes:  g.analyzes,
-		PinScale:  g.pinScale,
-		PinOff:    g.pinOff,
 		IngestSeq: g.maint.Cursor,
 	}
 	frames := make([][]byte, 0, g.k+1)
@@ -95,10 +91,9 @@ func (g *Group) Checkpoint(path string) error {
 // Restore rebuilds a group from a Checkpoint file against tab. Runtime
 // fields of cfg (Workers, Metrics, Faults, Loss, Learner, Karma) apply to
 // the restored group; the model state — shard count, sample, bandwidth,
-// learner and karma state, RNG position, pinned quantization constants,
-// serving precision — comes from the file. The restored group's estimates
-// and its response to further feedback are bit-identical to the group
-// that took the checkpoint.
+// learner and karma state, RNG position, serving precision — comes from
+// the file. The restored group's estimates and its response to further
+// feedback are bit-identical to the group that took the checkpoint.
 func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 	if tab == nil {
 		return nil, errors.New("shard: nil table")
@@ -120,7 +115,7 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 		return nil, fmt.Errorf("%w: group frame (k=%d, d=%d, frames=%d) inconsistent with table (d=%d)",
 			checkpoint.ErrCorrupt, st.K, st.D, len(frames), tab.Dims())
 	}
-	prec := mathx.Precision(meta & 0xff)
+	prec := core.PrecisionFromMeta(meta)
 
 	g := &Group{
 		cfg:      cfg,
@@ -133,8 +128,6 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 		sTotal:   st.STotal,
 		h:        append([]float64(nil), st.H...),
 		prec:     prec,
-		pinScale: st.PinScale,
-		pinOff:   st.PinOff,
 		analyzes: st.Analyzes,
 	}
 	g.cfg.Seed = st.Seed
@@ -148,7 +141,7 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 		parts[i] = fr.Data
 		total += len(fr.Data) / st.D
 	}
-	if g.shards, err = buildShards(parts, st.D, g.pool, g.h, st.PinScale, st.PinOff, prec); err != nil {
+	if g.shards, err = buildShards(parts, st.D, g.pool, g.h, prec); err != nil {
 		return nil, err
 	}
 	if total != st.STotal {

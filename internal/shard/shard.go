@@ -197,14 +197,9 @@ type Group struct {
 	learn  *learner.RMSprop
 	// maint runs karma replacement and change-feed maintenance over the
 	// global sample index (groupSlots); its Rng draws from src.
-	maint sample.Maintainer
-	src   *sample.CountingSource
-	prec  mathx.Precision
-	// pinScale/pinOff freeze every shard's quantized-tier dequantization
-	// constants to the values derived from the build-time global sample,
-	// so K quantized shards encode the same int16 codes as one.
-	pinScale []float32
-	pinOff   []float32
+	maint    sample.Maintainer
+	src      *sample.CountingSource
+	prec     mathx.Precision
 	analyzes int // completed ANALYZE runs (seeds their optimizer RNG)
 	anNext   int // round-robin ANALYZE target
 
@@ -224,10 +219,9 @@ type groupMetrics struct {
 
 // Build constructs a K-shard group over tab. The global sample is drawn
 // exactly like core.Build (same counted RNG stream from the same seed),
-// the initial bandwidth is Scott's rule over the FULL global sample, and
-// the quantized-tier constants are derived from the full sample and
-// pinned into every shard — three invariants that make the group's
-// estimates a pure function of (table, seed), independent of K.
+// and the initial bandwidth is Scott's rule over the FULL global sample —
+// the two invariants that make the group's estimates a pure function of
+// (table, seed), independent of K.
 func Build(tab *table.Table, cfg Config) (*Group, error) {
 	if tab == nil {
 		return nil, errors.New("shard: nil table")
@@ -248,25 +242,22 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 		return nil, err
 	}
 	h := kde.ScottBandwidth(flat, d)
-	pinScale, pinOff := kde.QuantConstants(flat, d)
 
 	g := &Group{
-		cfg:      cfg,
-		tab:      tab,
-		d:        d,
-		k:        k,
-		lf:       cfg.loss(),
-		pool:     cfg.pool(),
-		faults:   cfg.Faults,
-		sTotal:   s,
-		h:        h,
-		maint:    sample.Maintainer{Rng: rng},
-		src:      src,
-		prec:     cfg.Precision,
-		pinScale: pinScale,
-		pinOff:   pinOff,
+		cfg:    cfg,
+		tab:    tab,
+		d:      d,
+		k:      k,
+		lf:     cfg.loss(),
+		pool:   cfg.pool(),
+		faults: cfg.Faults,
+		sTotal: s,
+		h:      h,
+		maint:  sample.Maintainer{Rng: rng},
+		src:    src,
+		prec:   cfg.Precision,
 	}
-	if g.shards, err = buildShards(partition(flat, d, k), d, g.pool, h, pinScale, pinOff, cfg.Precision); err != nil {
+	if g.shards, err = buildShards(partition(flat, d, k), d, g.pool, h, cfg.Precision); err != nil {
 		return nil, err
 	}
 	if g.learn, err = learner.NewRMSprop(d, cfg.Learner); err != nil {
@@ -303,10 +294,9 @@ func partition(flat []float64, d, k int) [][]float64 {
 }
 
 // buildShards builds one shard estimator per non-empty row-major partition,
-// configured with the shared pool, the uniform bandwidth, the pinned
-// quantization constants, and the serving precision. Empty partitions
-// become empty (nil-estimator) shards.
-func buildShards(parts [][]float64, d int, pool *parallel.Pool, h []float64, pinScale, pinOff []float32, prec mathx.Precision) ([]*shardState, error) {
+// configured with the shared pool, the uniform bandwidth, and the serving
+// precision. Empty partitions become empty (nil-estimator) shards.
+func buildShards(parts [][]float64, d int, pool *parallel.Pool, h []float64, prec mathx.Precision) ([]*shardState, error) {
 	shards := make([]*shardState, len(parts))
 	for i, part := range parts {
 		shards[i] = &shardState{}
@@ -320,9 +310,6 @@ func buildShards(parts [][]float64, d int, pool *parallel.Pool, h []float64, pin
 		est.SetPool(pool)
 		if err := est.SetSampleFlat(part); err != nil {
 			return nil, fmt.Errorf("shard %d sample: %w", i, err)
-		}
-		if err := est.PinQuantConstants(pinScale, pinOff); err != nil {
-			return nil, err
 		}
 		if err := est.SetBandwidth(h); err != nil {
 			return nil, err

@@ -3,14 +3,18 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"kdesel/internal/checkpoint"
 	"kdesel/internal/core"
 	"kdesel/internal/fault"
 	"kdesel/internal/kde"
+	"kdesel/internal/learner"
 	"kdesel/internal/mathx"
 	"kdesel/internal/metrics"
 	"kdesel/internal/parallel"
@@ -57,7 +61,7 @@ func testQueries(n, d int, seed int64) []query.Range {
 
 // refEstimator builds the unsharded reference: a raw kde.Estimator over
 // the exact global sample a Group draws (same counted stream), with the
-// same pinned quantization constants, Scott bandwidth, and precision.
+// same Scott bandwidth and precision.
 func refEstimator(t *testing.T, tab *table.Table, cfg Config) *kde.Estimator {
 	t.Helper()
 	d := tab.Dims()
@@ -78,10 +82,6 @@ func refEstimator(t *testing.T, tab *table.Table, cfg Config) *kde.Estimator {
 	if err := est.SetSampleFlat(flat); err != nil {
 		t.Fatal(err)
 	}
-	scale, off := kde.QuantConstants(flat, d)
-	if err := est.PinQuantConstants(scale, off); err != nil {
-		t.Fatal(err)
-	}
 	if err := est.SetBandwidth(kde.ScottBandwidth(flat, d)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestShardBitIdentity(t *testing.T) {
 	const d, rows, sampleSize = 3, 3000, 1200
 	tab := testTable(t, rows, d, 11)
 	qs := testQueries(40, d, 23)
-	for _, prec := range []mathx.Precision{mathx.Float64, mathx.Float32, mathx.Quantized} {
+	for _, prec := range []mathx.Precision{mathx.Float64, mathx.Float32} {
 		for _, fast := range []bool{false, true} {
 			mode := mathx.Exact
 			if fast {
@@ -208,7 +208,7 @@ func TestShardFeedbackInvariance(t *testing.T) {
 // checkpoint captures the full shared state (learner, karma, RNG stream).
 func TestShardCheckpointRoundTrip(t *testing.T) {
 	const d, rows, sampleSize = 2, 2000, 900
-	for _, prec := range []mathx.Precision{mathx.Float64, mathx.Float32, mathx.Quantized} {
+	for _, prec := range []mathx.Precision{mathx.Float64, mathx.Float32} {
 		tab := testTable(t, rows, d, 17)
 		qs := testQueries(20, d, 19)
 		fbq := testQueries(30, d, 29)
@@ -267,6 +267,106 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 		g.Close()
 		r.Close()
 	}
+}
+
+// legacyGroupState is groupState as group checkpoints written while the
+// int16 serving tier existed laid it out: the same fields plus the
+// per-dimension quantization constants pinned into every shard.
+type legacyGroupState struct {
+	K, D, STotal int
+	Seed         int64
+	H            []float64
+	Draws        uint64
+	ResSeen      int
+	Learner      learner.State
+	Karma        []float64
+	Analyzes     int
+	PinScale     []float32
+	PinOff       []float32
+	IngestSeq    uint64
+}
+
+// TestShardRestoreUnknownPrecision: a group frame whose precision byte is
+// not a current tier — 2 (the retired int16 tier, whose frames also carry
+// pinned quantization constants) or 0xff — restores at Float64, serves
+// bit-identically to the Float64 group that wrote it, and checkpoints
+// Float64 back rather than the unknown byte.
+func TestShardRestoreUnknownPrecision(t *testing.T) {
+	const d, rows, sampleSize = 2, 1500, 700
+	tab := testTable(t, rows, d, 61)
+	qs := testQueries(20, d, 67)
+	g, err := Build(tab, Config{Shards: 3, SampleSize: sampleSize, Seed: 5, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	want := make([]float64, len(qs))
+	if err := g.EstimateBatch(qs, want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "group.ckpt")
+	if err := g.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	frames := readFrames(t, path)
+	var st groupState
+	if _, err := checkpoint.UnmarshalMeta(frames[0], &st); err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyGroupState{
+		K: st.K, D: st.D, STotal: st.STotal, Seed: st.Seed, H: st.H,
+		Draws: st.Draws, ResSeen: st.ResSeen, Learner: st.Learner,
+		Karma: st.Karma, Analyzes: st.Analyzes, IngestSeq: st.IngestSeq,
+		PinScale: []float32{1e-4, 2e-4}, PinOff: []float32{0.5, -0.5},
+	}
+	for _, meta := range []uint32{2, 0xff} {
+		f0, err := checkpoint.MarshalMeta(legacy, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, fmt.Sprintf("meta%d.ckpt", meta))
+		if err := checkpoint.WriteFileFrames(p, append([][]byte{f0}, frames[1:]...), nil); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(p, testTable(t, rows, d, 61), Config{Workers: 2})
+		if err != nil {
+			t.Fatalf("meta %#x: %v", meta, err)
+		}
+		if got := r.Precision(); got != mathx.Float64 {
+			t.Fatalf("meta %#x: restored precision %v, want float64", meta, got)
+		}
+		got := make([]float64, len(qs))
+		if err := r.EstimateBatch(qs, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("meta %#x query %d: %g, want float64 %g", meta, i, got[i], want[i])
+			}
+		}
+		back := filepath.Join(dir, "back.ckpt")
+		if err := r.Checkpoint(back); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := checkpoint.UnmarshalMeta(readFrames(t, back)[0], &st); err != nil || m != 0 {
+			t.Fatalf("meta %#x: re-checkpointed meta %#x (err %v), want 0", meta, m, err)
+		}
+		r.Close()
+	}
+}
+
+func readFrames(t *testing.T, path string) [][]byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := checkpoint.SplitFrames(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
 }
 
 // TestShardEmptyShards: more shards than global chunks (K=7 over a

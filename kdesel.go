@@ -166,10 +166,10 @@ func ParseErfMode(s string) (ErfMode, bool) { return mathx.ParseMode(s) }
 
 // Precision selects the numeric tier estimates are served from; set it on
 // ServeConfig.Precision or switch at runtime with Server.SetPrecision.
-// Reduced tiers are verified against an error contract before they are ever
-// served (a tier over contract falls back to PrecisionFloat64 and counts a
-// core.precision_fallbacks event), and the active tier is pinned per
-// snapshot — it never changes mid-estimate.
+// The reduced tier, PrecisionFloat32, is verified against its error
+// contract before it is ever served (over contract it falls back to
+// PrecisionFloat64 and counts a core.precision_fallbacks event), and the
+// active tier is pinned per snapshot — it never changes mid-estimate.
 type Precision = mathx.Precision
 
 // The serving precision tiers; parse flag values with ParsePrecision.
@@ -179,13 +179,10 @@ const (
 	// PrecisionFloat32 streams float32 columns (4 bytes per value) with a
 	// ≤ 1e-5 relative error contract.
 	PrecisionFloat32 = mathx.Float32
-	// PrecisionQuantized streams int16 fixed-point columns (2 bytes per
-	// value) with a ≤ 1e-3 relative error contract.
-	PrecisionQuantized = mathx.Quantized
 )
 
-// ParsePrecision parses "float64", "float32", or "quantized" (the CLI flag
-// grammar; empty means float64); ok is false for anything else.
+// ParsePrecision parses "float64" or "float32" (the CLI flag grammar; empty
+// means float64); ok is false for anything else.
 func ParsePrecision(s string) (Precision, bool) { return mathx.ParsePrecision(s) }
 
 // RestoreCheckpoint reconstructs an estimator from an atomic, CRC-checked
