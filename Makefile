@@ -101,10 +101,13 @@ network-resilience:
 # The sharding determinism contract must actually run, like mathx-accuracy:
 # K-shard scatter/gather must be bit-identical (Float64bits) to the
 # single-shard estimator at every shard count, precision tier, and erf
-# mode, and a checkpointed group restored from disk must continue
-# bit-identically. A skipped sweep fails verify, not just a failing one.
+# mode, a checkpointed group restored from disk must continue
+# bit-identically, and a group must learn exactly like the unsharded
+# Adaptive estimator (same bandwidth bits after every feedback, same
+# Scott's-rule reset under injected non-finite gradients). A skipped sweep
+# fails verify, not just a failing one.
 shard-determinism:
-	@out="$$($(GO) test -count=1 -run 'TestShardBitIdentity|TestShardCheckpointRoundTrip|TestShardFeedbackInvariance' -v ./internal/shard/)"; \
+	@out="$$($(GO) test -count=1 -run 'TestShardBitIdentity|TestShardCheckpointRoundTrip|TestShardFeedbackInvariance|TestGroupLearnsLikeCore' -v ./internal/shard/)"; \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	echo "$$out" | grep -q -- '--- PASS: TestShardBitIdentity' || \
@@ -112,7 +115,9 @@ shard-determinism:
 	echo "$$out" | grep -q -- '--- PASS: TestShardCheckpointRoundTrip' || \
 		{ echo "shard checkpoint round-trip check did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestShardFeedbackInvariance' || \
-		{ echo "shard feedback-invariance check did not run"; exit 1; }
+		{ echo "shard feedback-invariance check did not run"; exit 1; }; \
+	echo "$$out" | grep -q -- '--- PASS: TestGroupLearnsLikeCore' || \
+		{ echo "group-vs-core learning-step check did not run"; exit 1; }
 
 # The continuous-ingestion contracts must actually run, like mathx-accuracy:
 # the serving-under-mutation race test (>= 10k concurrent mutations against

@@ -45,7 +45,7 @@ func (e *Estimator) Checkpoint(path string) error {
 		Workers:   e.cfg.Workers,
 		Health:    int(e.Health()),
 		LastEvent: e.LastDegradation(),
-		GradTrips: e.gradTrips,
+		GradTrips: e.trips,
 		IngestSeq: e.maint.Cursor,
 	}
 	if e.learn != nil {
@@ -100,7 +100,7 @@ func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimat
 		e.host.SetWorkers(st.Workers)
 	}
 	e.Ladder.restore(Health(st.Health), st.LastEvent)
-	e.gradTrips = st.GradTrips
+	e.trips = st.GradTrips
 	e.maint.Cursor = st.IngestSeq
 	// Reapply the checkpointed serving precision. The tier is rebuilt from
 	// the restored sample and passes the verify gate again before serving.

@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -162,7 +161,6 @@ type Estimator struct {
 	d    int
 	s    int
 	kern kernel.Kernel
-	lf   loss.Function
 	rng  *rand.Rand
 	src  *sample.CountingSource // the source behind rng; draws are checkpointed
 
@@ -174,15 +172,15 @@ type Estimator struct {
 	eng        *gpu.Engine
 	hostMirror []float64
 
-	// Degradation state (see health.go). faults is the estimator-level
-	// injector; gradTrips counts consecutive rejected feedback gradients,
-	// fbPanics the panics recovered out of the feedback path.
+	// Degradation state (see health.go); fbPanics counts the panics
+	// recovered out of the feedback path.
 	Ladder
-	faults    *fault.Injector
-	gradTrips int
-	fbPanics  int
+	fbPanics int
 
-	learn *learner.RMSprop
+	// The learning step (tune.go). It carries the loss lf, the
+	// estimator-level fault injector faults, and the learner learn (nil
+	// unless Adaptive).
+	tuner
 	// maint carries the karma scores, the reservoir and the change-feed
 	// cursor; Karma and Res are nil unless the model maintains its sample.
 	maint sample.Maintainer
@@ -239,17 +237,17 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 	}
 
 	e := &Estimator{
-		cfg:    cfg,
-		tab:    tab,
-		d:      d,
-		s:      s,
-		kern:   cfg.kernel(),
-		lf:     cfg.loss(),
-		rng:    rng,
-		src:    src,
-		faults: cfg.Faults,
-		maint:  sample.Maintainer{Rng: rng},
+		cfg:   cfg,
+		tab:   tab,
+		d:     d,
+		s:     s,
+		kern:  cfg.kernel(),
+		rng:   rng,
+		src:   src,
+		maint: sample.Maintainer{Rng: rng},
+		tuner: tuner{lf: cfg.loss(), faults: cfg.Faults},
 	}
+	e.bindTuner()
 
 	// Initial bandwidth per mode. Build-time degradations are counted
 	// after Instrument resolves the metric instruments below.
@@ -267,26 +265,10 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 			return nil, fmt.Errorf("core: scv bandwidth selection: %w", err)
 		}
 	case Batch:
-		opts := cfg.BatchOptions
-		if opts.Kernel == nil {
-			opts.Kernel = e.kern
-		}
-		if opts.Loss == nil {
-			opts.Loss = e.lf
-		}
-		if opts.Rand == nil {
-			opts.Rand = rng
-		}
-		if opts.Workers == 0 {
-			opts.Workers = cfg.Workers
-		}
-		if opts.Metrics == nil {
-			opts.Metrics = cfg.Metrics
-		}
 		if e.faults.Fire(fault.OptimizerDiverge) {
 			err = fmt.Errorf("%w: optimizer divergence", fault.ErrInjected)
 		} else {
-			h, err = bandwidth.Optimal(flat, d, cfg.Training, opts)
+			h, err = bandwidth.Optimal(flat, d, cfg.Training, e.batchOptions(cfg.Metrics))
 		}
 		if err != nil {
 			if !errors.Is(err, fault.ErrInjected) {
@@ -365,11 +347,40 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 	}
 	e.Instrument(cfg.Metrics)
 	if e.Health() != Healthy {
-		e.met.degradations.Inc()
-		e.met.bandwidthResets.Add(int64(buildResets))
+		e.Ladder.events.Inc()
+		e.tuner.met.resets.Add(int64(buildResets))
 		e.met.gpuFallbacks.Add(int64(buildFallbacks))
 	}
 	return e, nil
+}
+
+// bindTuner points the learning step at the estimator's ladder, its
+// device-free sample copy and its bandwidth hook (health.go).
+func (e *Estimator) bindTuner() {
+	e.tuner.d, e.tuner.ladder = e.d, &e.Ladder
+	e.tuner.sample, e.tuner.install = e.sampleHostLocal, e.installBandwidth
+}
+
+// batchOptions fills the Batch optimizer's unset options from the
+// estimator: its kernel, loss, random stream and worker count, and reg.
+func (e *Estimator) batchOptions(reg *metrics.Registry) bandwidth.OptimalConfig {
+	opts := e.cfg.BatchOptions
+	if opts.Kernel == nil {
+		opts.Kernel = e.kern
+	}
+	if opts.Loss == nil {
+		opts.Loss = e.lf
+	}
+	if opts.Rand == nil {
+		opts.Rand = e.rng
+	}
+	if opts.Workers == 0 {
+		opts.Workers = e.cfg.Workers
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = reg
+	}
+	return opts
 }
 
 // coreMetrics holds the estimator's resolved instruments. All fields are
@@ -379,18 +390,14 @@ type coreMetrics struct {
 	reg         *metrics.Registry
 	estimateSec *metrics.Histogram
 	feedbackSec *metrics.Histogram
-	minibatch   *metrics.Counter
 
-	// Degradation and robustness events (see health.go).
-	degradations    *metrics.Counter
+	// Robustness events (see health.go); the learning step and the ladder
+	// count their own (tune.go).
 	gpuRetries      *metrics.Counter
 	gpuFallbacks    *metrics.Counter
 	serialFallbacks *metrics.Counter
-	bandwidthResets *metrics.Counter
 	nonfiniteEst    *metrics.Counter
 	feedbackPanics  *metrics.Counter
-	gradRejected    *metrics.Counter
-	quarantined     *metrics.Counter
 	invalidQueries  *metrics.Counter
 	checkpoints     *metrics.Counter
 
@@ -412,17 +419,12 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 		reg:         reg,
 		estimateSec: reg.Histogram("core.estimate_seconds"),
 		feedbackSec: reg.Histogram("core.feedback_seconds"),
-		minibatch:   reg.Counter("core.minibatch_updates"),
 
-		degradations:    reg.Counter("core.degradation_events"),
 		gpuRetries:      reg.Counter("core.gpu_retries"),
 		gpuFallbacks:    reg.Counter("core.gpu_fallbacks"),
 		serialFallbacks: reg.Counter("core.serial_fallbacks"),
-		bandwidthResets: reg.Counter("core.bandwidth_resets"),
 		nonfiniteEst:    reg.Counter("core.nonfinite_estimates"),
 		feedbackPanics:  reg.Counter("core.feedback_panics"),
-		gradRejected:    reg.Counter("core.gradients_rejected"),
-		quarantined:     reg.Counter("core.gradients_quarantined"),
 		invalidQueries:  reg.Counter("core.invalid_queries"),
 		checkpoints:     reg.Counter("core.checkpoints_written"),
 
@@ -431,9 +433,7 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 		precisionFallbacks: reg.Counter("core.precision_fallbacks"),
 	}
 	e.maint.Instrument(reg)
-	if e.learn != nil {
-		e.learn.Instrument(reg)
-	}
+	e.tuner.instrument(reg)
 	if e.host != nil {
 		e.host.Pool().Instrument(reg)
 	}
@@ -609,20 +609,6 @@ func (e *Estimator) estimateRaw(q query.Range) (float64, error) {
 	return est, nil
 }
 
-// Learner-protection thresholds (see health.go for the recovery ladder).
-const (
-	// gradTripLimit is how many consecutive rejected (non-finite) feedback
-	// gradients trigger quarantine of the open mini-batch plus a
-	// Scott's-rule bandwidth reset.
-	gradTripLimit = 3
-	// clampStreakLimit is how many consecutive mini-batch updates may hit
-	// the §4.1 safeguard clamp in every dimension before the learner is
-	// considered wedged and the model is reset. Legitimate adaptation
-	// clamps single dimensions routinely but essentially never clamps all
-	// of them this many batches in a row.
-	clampStreakLimit = 10
-)
-
 // Feedback delivers the true selectivity observed after the database
 // executed q. In Adaptive mode it performs the Listing-1 learning step and
 // the karma maintenance pass; in all other modes it is a no-op so callers
@@ -660,7 +646,7 @@ func (e *Estimator) Feedback(q query.Range, actual float64) (err error) {
 			if e.fbPanics >= 2 {
 				e.enterSerialFallback(reason)
 			} else {
-				e.setHealth(Degraded, reason)
+				e.Degrade(Degraded, reason)
 			}
 			err = nil
 		}
@@ -699,53 +685,14 @@ func (e *Estimator) Feedback(q query.Range, actual float64) (err error) {
 			return herr
 		}
 	}
-	if e.faults.Fire(fault.GradientNonFinite) && len(grad) > 0 {
-		grad[0] = math.NaN()
-	}
-	dl := e.lf.Deriv(est, actual)
-	for j := range grad {
-		grad[j] *= dl
-	}
+	e.tuner.lossGradient(grad, est, actual)
 
 	// Karma maintenance runs first: it consumes the contributions retained
 	// under the current bandwidth, which the learning step may invalidate.
 	if err := e.maintainSample(q, actual); err != nil {
 		return err
 	}
-
-	updated, oerr := e.learn.Observe(grad, h)
-	if oerr != nil {
-		// A non-finite gradient is absorbed, not propagated: the learner
-		// rejected it, the model is still serviceable, and the optimizer
-		// cannot act on the error anyway. Repeated trips mean the model
-		// itself is poisoned — quarantine and reset.
-		e.met.gradRejected.Inc()
-		e.gradTrips++
-		if e.gradTrips >= gradTripLimit {
-			if rerr := e.resetToScott("repeated non-finite feedback gradients"); rerr != nil {
-				return rerr
-			}
-		}
-		return nil
-	}
-	e.gradTrips = 0
-	if updated {
-		e.met.minibatch.Inc()
-		if e.learn.ConsecutiveFullClamps() >= clampStreakLimit {
-			// Every dimension pinned against the safeguard for many
-			// consecutive batches: the learner is wedged, not learning.
-			return e.resetToScott("learner wedged against safeguard clamps")
-		}
-		for _, v := range h {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				return e.resetToScott("learner produced a non-positive or non-finite bandwidth")
-			}
-		}
-		if err := e.SetBandwidth(h); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.tuner.step(grad, h)
 }
 
 // FeedbackBatch delivers the true selectivities of a whole batch of
@@ -792,10 +739,8 @@ func (e *Estimator) FeedbackBatch(fbs []query.Feedback) error {
 				// (no learner state was touched yet).
 				return e.FeedbackBatch(fbs)
 			}
-			dl := e.lf.Deriv(est, fb.Actual)
-			for j, gj := range g {
-				grads[i*e.d+j] = gj * dl
-			}
+			copy(grads[i*e.d:], g)
+			e.tuner.scale(grads[i*e.d:(i+1)*e.d], est, fb.Actual)
 		}
 	} else {
 		qs := make([]query.Range, len(fbs))
@@ -809,29 +754,10 @@ func (e *Estimator) FeedbackBatch(fbs []query.Feedback) error {
 		}
 		// ∇_H L = ∂L/∂p̂ · ∂p̂/∂H (eq. 14), per query.
 		for i, fb := range fbs {
-			dl := e.lf.Deriv(ests[i], fb.Actual)
-			g := grads[i*e.d : (i+1)*e.d]
-			for j := range g {
-				g[j] *= dl
-			}
+			e.tuner.scale(grads[i*e.d:(i+1)*e.d], ests[i], fb.Actual)
 		}
 	}
-	updates, oerr := e.learn.ObserveBatch(grads, h)
-	e.met.minibatch.Add(int64(updates))
-	if updates > 0 {
-		if err := e.SetBandwidth(h); err != nil {
-			return err
-		}
-	}
-	if oerr != nil {
-		// Same policy as Feedback: a rejected non-finite gradient is
-		// absorbed. The batch path stops folding at the bad entry, so
-		// quarantine the open mini-batch immediately rather than waiting
-		// for a trip streak.
-		e.met.gradRejected.Inc()
-		return e.resetToScott("non-finite gradient in feedback batch")
-	}
-	return nil
+	return e.tuner.stepBatch(grads, h)
 }
 
 // maintainSample performs the karma update and point replacements of §4.2.
@@ -898,23 +824,7 @@ func (e *Estimator) Reoptimize(fbs []query.Feedback) error {
 	if err != nil {
 		return err
 	}
-	opts := e.cfg.BatchOptions
-	if opts.Kernel == nil {
-		opts.Kernel = e.kern
-	}
-	if opts.Loss == nil {
-		opts.Loss = e.lf
-	}
-	if opts.Rand == nil {
-		opts.Rand = e.rng
-	}
-	if opts.Workers == 0 {
-		opts.Workers = e.cfg.Workers
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = e.met.reg
-	}
-	h, err := bandwidth.Optimal(flat, e.d, fbs, opts)
+	h, err := bandwidth.Optimal(flat, e.d, fbs, e.batchOptions(e.met.reg))
 	if err != nil {
 		return err
 	}

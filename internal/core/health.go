@@ -33,6 +33,7 @@ import (
 
 	"kdesel/internal/fault"
 	"kdesel/internal/kde"
+	"kdesel/internal/metrics"
 	"kdesel/internal/query"
 )
 
@@ -75,6 +76,9 @@ type Ladder struct {
 	health atomic.Int32
 	mu     sync.Mutex
 	last   string
+	// events counts transitions as core.degradation_events; the model's
+	// learning step resolves it when the model is instrumented (tune.go).
+	events *metrics.Counter
 }
 
 // Health returns the current degradation state. It never takes the owner's
@@ -92,7 +96,7 @@ func (l *Ladder) LastDegradation() string {
 
 // Degrade records reason as the latest degradation event and moves health
 // down to h unless it is already there or lower. It reports whether health
-// moved.
+// moved, and counts the transition when it did.
 func (l *Ladder) Degrade(h Health, reason string) bool {
 	l.mu.Lock()
 	l.last = reason
@@ -103,6 +107,7 @@ func (l *Ladder) Degrade(h Health, reason string) bool {
 			return false
 		}
 		if l.health.CompareAndSwap(cur, int32(h)) {
+			l.events.Inc()
 			return true
 		}
 	}
@@ -119,14 +124,7 @@ func (l *Ladder) restore(h Health, last string) {
 // SetFaultInjector attaches an estimator-level fault injector (normally
 // wired through Config.Faults); nil detaches. Injectors are not part of
 // the persisted state, so restored estimators start without one.
-func (e *Estimator) SetFaultInjector(inj *fault.Injector) { e.faults = inj }
-
-// setHealth records a degradation event and counts the transition.
-func (e *Estimator) setHealth(h Health, reason string) {
-	if e.Degrade(h, reason) {
-		e.met.degradations.Inc()
-	}
-}
+func (e *Estimator) SetFaultInjector(inj *fault.Injector) { e.tuner.faults = inj }
 
 // ErrInvalidQuery is the class of all query-validation failures returned by
 // Estimate, Feedback, and FeedbackBatch. Match with errors.Is.
@@ -284,7 +282,7 @@ func (e *Estimator) fallbackToHost(reason string) error {
 	e.hasEst = false
 	e.lastContrib = nil
 	e.met.gpuFallbacks.Inc()
-	e.setHealth(Degraded, reason)
+	e.Degrade(Degraded, reason)
 	host.Pool().Instrument(e.met.reg)
 	// The model now lives on the host, which makes it servable lock-free:
 	// publish the first snapshot of the rebuilt estimator.
@@ -302,38 +300,22 @@ func (e *Estimator) enterSerialFallback(reason string) {
 		e.host.Pool().Instrument(e.met.reg)
 	}
 	e.met.serialFallbacks.Inc()
-	e.setHealth(Fallback, reason)
+	e.Degrade(Fallback, reason)
 	e.publishSnapshot()
 }
 
-// resetToScott abandons the learned bandwidth and reinstalls Scott's rule
-// (§3.2) computed from the current sample — the same starting point ANALYZE
-// uses — and reinitializes the learner so stale adaptation state cannot
-// immediately re-poison the model. The open mini-batch, if any, is
-// quarantined (dropped), since it accumulated gradients under the abandoned
-// bandwidth.
-func (e *Estimator) resetToScott(reason string) error {
-	e.invalidatePrecision() // the new bandwidth changes the tier error profile
-	flat, err := e.sampleHostLocal()
-	if err != nil {
-		return err
+// installBandwidth is the Estimator's bandwidth hook for its learning step
+// (tune.go). A Scott's-rule reset changes the tier's error profile, so it
+// forces a re-verification, and republishes at once because it can fire
+// outside Feedback.
+func (e *Estimator) installBandwidth(h []float64, reset bool) error {
+	if !reset {
+		return e.SetBandwidth(h)
 	}
-	h := kde.ScottBandwidth(flat, e.d)
-	for _, v := range h {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: scott reset impossible: sample yields bandwidth %v", h)
-		}
-	}
-	if e.learn != nil {
-		e.met.quarantined.Add(int64(e.learn.DropBatch()))
-		e.learn.Reset()
-	}
-	e.gradTrips = 0
+	e.invalidatePrecision()
 	if err := e.SetBandwidth(h); err != nil {
 		return err
 	}
-	e.met.bandwidthResets.Inc()
-	e.setHealth(Degraded, reason)
 	e.publishSnapshot()
 	return nil
 }
@@ -363,7 +345,7 @@ func (e *Estimator) sanitizeEstimate(q query.Range, est float64) float64 {
 		return Clamp01(est)
 	}
 	e.met.nonfiniteEst.Inc()
-	if err := e.resetToScott("non-finite estimate"); err == nil {
+	if err := e.tuner.reset("non-finite estimate"); err == nil {
 		if again, err2 := e.estimateRaw(q); err2 == nil && !math.IsNaN(again) && !math.IsInf(again, 0) {
 			return Clamp01(again)
 		}

@@ -139,12 +139,13 @@ func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Est
 		d:            snap.Dims,
 		s:            len(snap.Sample) / snap.Dims,
 		kern:         kern,
-		lf:           lf,
 		rng:          rng,
 		src:          src,
 		maint:        sample.Maintainer{Rng: rng},
 		replacements: snap.Replacements,
+		tuner:        tuner{lf: lf},
 	}
+	e.bindTuner()
 	e.queries.Store(int64(snap.Queries))
 
 	var err error

@@ -154,7 +154,7 @@ func (e *Estimator) ensurePrecision() {
 	e.host.SetPrecision(mathx.Float64)
 	e.precDisabled = true
 	e.met.precisionFallbacks.Inc()
-	e.setHealth(Degraded, "precision tier "+want.String()+" over error contract; serving float64")
+	e.Degrade(Degraded, "precision tier "+want.String()+" over error contract; serving float64")
 }
 
 // verifyPrecision sweeps precSweepQueries deterministic queries — centered

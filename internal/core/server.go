@@ -312,14 +312,6 @@ func (s *Server) Feedback(q query.Range, actual float64) error {
 	return s.est.Feedback(q, actual)
 }
 
-// FeedbackBatch delivers a slice of observations; see
-// Estimator.FeedbackBatch.
-func (s *Server) FeedbackBatch(fbs []query.Feedback) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.est.FeedbackBatch(fbs)
-}
-
 // Reoptimize re-runs the batch bandwidth optimization over fresh feedback —
 // the ANALYZE step — under the writer lock. Concurrent estimates keep
 // serving the pre-ANALYZE snapshot throughout; the re-optimized model

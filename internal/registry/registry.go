@@ -135,7 +135,6 @@ type model interface {
 	// lost shards and renormalized over the survivors.
 	EstimateDetail(ctx context.Context, q query.Range) (est float64, degraded bool, err error)
 	Feedback(q query.Range, actual float64) error
-	FeedbackBatch(fbs []query.Feedback) error
 	// Reoptimize is the ANALYZE step.
 	Reoptimize(fbs []query.Feedback) error
 	Checkpoint(path string) error
@@ -537,23 +536,6 @@ func (r *Registry) Feedback(key Key, q query.Range, actual float64) error {
 	}
 	ent.touch()
 	return m.Feedback(q, actual)
-}
-
-// FeedbackBatch routes a slice of observations to key's model.
-func (r *Registry) FeedbackBatch(key Key, fbs []query.Feedback) error {
-	ent, err := r.entryFor(key)
-	if err != nil {
-		return err
-	}
-	for _, fb := range fbs {
-		ent.recordFeedback(fb.Query, fb.Actual)
-	}
-	m, err := r.serving(ent)
-	if err != nil {
-		return err
-	}
-	ent.touch()
-	return m.FeedbackBatch(fbs)
 }
 
 // Analyze synchronously re-optimizes key's model over fbs (the ANALYZE

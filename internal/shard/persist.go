@@ -34,6 +34,10 @@ type groupState struct {
 	// IngestSeq is the change-feed cursor (see Group.IngestCursor). Gob
 	// omits zero values, so pre-ingestion frames restore with cursor 0.
 	IngestSeq uint64
+	// GradTrips is the learning step's run of consecutive rejected
+	// gradients, so a restored group resets on the same feedback as the
+	// original. Older frames restore with 0.
+	GradTrips int
 }
 
 // shardFrame is the gob payload of frames 1..K: one shard's row-major
@@ -61,11 +65,11 @@ func (g *Group) Checkpoint(path string) error {
 		H:         append([]float64(nil), g.h...),
 		Draws:     g.src.Draws(),
 		ResSeen:   g.maint.Res.Seen(),
-		Learner:   g.learn.State(),
 		Karma:     g.maint.Karma.Scores(),
 		Analyzes:  g.analyzes,
 		IngestSeq: g.maint.Cursor,
 	}
+	st.Learner, st.GradTrips = g.tune.State()
 	frames := make([][]byte, 0, g.k+1)
 	f0, err := checkpoint.MarshalMeta(st, uint32(g.prec))
 	if err != nil {
@@ -153,10 +157,10 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 	src.FastForward(st.Draws)
 	g.src = src
 	g.maint = sample.Maintainer{Rng: rand.New(src), Cursor: st.IngestSeq}
-	if g.learn, err = learner.NewRMSprop(st.D, cfg.Learner); err != nil {
+	if err := g.attachTuner(); err != nil {
 		return nil, err
 	}
-	if err := g.learn.Restore(st.Learner); err != nil {
+	if err := g.tune.Restore(st.Learner, st.GradTrips); err != nil {
 		return nil, err
 	}
 	kcfg := cfg.Karma

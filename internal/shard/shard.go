@@ -58,7 +58,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -194,7 +193,7 @@ type Group struct {
 	shards []*shardState
 	sTotal int
 	h      []float64 // uniform bandwidth across shards
-	learn  *learner.RMSprop
+	tune   *core.Tuner
 	// maint runs karma replacement and change-feed maintenance over the
 	// global sample index (groupSlots); its Rng draws from src.
 	maint    sample.Maintainer
@@ -213,7 +212,6 @@ type groupMetrics struct {
 	reg            *metrics.Registry
 	gathers        *metrics.Counter
 	degraded       *metrics.Counter
-	gradRejected   *metrics.Counter
 	invalidQueries *metrics.Counter
 }
 
@@ -260,7 +258,7 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 	if g.shards, err = buildShards(partition(flat, d, k), d, g.pool, h, cfg.Precision); err != nil {
 		return nil, err
 	}
-	if g.learn, err = learner.NewRMSprop(d, cfg.Learner); err != nil {
+	if err := g.attachTuner(); err != nil {
 		return nil, err
 	}
 	kcfg := cfg.Karma
@@ -322,9 +320,25 @@ func buildShards(parts [][]float64, d int, pool *parallel.Pool, h []float64, pre
 	return shards, nil
 }
 
+// attachTuner gives the group a fresh learner behind the learning step it
+// shares with the serving core (core.Tuner): the step sees the reassembled
+// global sample and installs bandwidths group-wide. Its hooks run under
+// g.mu, which Feedback holds.
+func (g *Group) attachTuner() error {
+	learn, err := learner.NewRMSprop(g.d, g.cfg.Learner)
+	if err != nil {
+		return err
+	}
+	g.tune = core.NewTuner(g.d, learn, g.lf, g.faults, &g.Ladder,
+		func() ([]float64, error) { return g.sampleFlatLocked(), nil },
+		func(h []float64, _ bool) error { g.setBandwidthLocked(h); return nil })
+	return nil
+}
+
 func (g *Group) instrument(reg *metrics.Registry) {
 	g.met.reg = reg
 	g.maint.Instrument(reg)
+	g.tune.Instrument(reg)
 	if reg == nil {
 		return
 	}
@@ -332,7 +346,6 @@ func (g *Group) instrument(reg *metrics.Registry) {
 	// names; only the scatter/gather ones are shard.*.
 	g.met.gathers = reg.Counter("shard.gathers")
 	g.met.degraded = reg.Counter("shard.degraded_gathers")
-	g.met.gradRejected = reg.Counter("core.gradients_rejected")
 	g.met.invalidQueries = reg.Counter("core.invalid_queries")
 	reg.RegisterGaugeFunc("shard.shards", func() float64 { return float64(g.k) })
 	reg.RegisterGaugeFunc("shard.sample_size", func() float64 {
@@ -630,8 +643,9 @@ func (g *Group) owner(gi int) (shard, local int) {
 
 // Feedback folds one executed query's true selectivity into the model:
 // karma sample maintenance first (replacements route to the owning
-// shard), then the RMSprop bandwidth step over the gradient gathered in
-// global chunk order. The resulting model trajectory is invariant in K.
+// shard), then the learning step (core.Tuner, the serving core's own) over
+// the gradient gathered in global chunk order. The resulting model
+// trajectory is invariant in K and identical to the unsharded estimator's.
 func (g *Group) Feedback(q query.Range, actual float64) error {
 	if err := core.ValidateFeedback(g.d, q, actual); err != nil {
 		g.met.invalidQueries.Inc()
@@ -671,9 +685,8 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 	}
 	est := sum / float64(g.sTotal)
 
-	// Bandwidth gradient: per-shard chunk partials (mass + d gradient
-	// terms) merged in the same global chunk order, then scaled by the
-	// loss derivative (eq. 14).
+	// Selectivity gradient: per-shard chunk partials (mass + d gradient
+	// terms) merged in the same global chunk order.
 	stride := g.d + 1
 	gparts := make([][]float64, g.k)
 	for k, sh := range g.shards {
@@ -701,14 +714,10 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 		}
 	}
 	inv := 1 / float64(g.sTotal)
-	estG := msum * inv
-	if g.faults.Fire(fault.GradientNonFinite) {
-		grad[0] = math.NaN()
-	}
-	dl := g.lf.Deriv(estG, actual)
 	for j := range grad {
-		grad[j] = grad[j] * inv * dl
+		grad[j] *= inv
 	}
+	g.tune.LossGradient(grad, msum*inv, actual)
 
 	// Karma maintenance first (it consumes contributions computed under
 	// the pre-step bandwidth), mirroring core.Feedback.
@@ -724,39 +733,7 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 		return err
 	}
 
-	updated, oerr := g.learn.Observe(grad, g.h)
-	if oerr != nil {
-		// Same policy as the serving core: a rejected non-finite gradient
-		// is absorbed, not propagated.
-		g.met.gradRejected.Inc()
-		return nil
-	}
-	if updated {
-		bad := false
-		for _, v := range g.h {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			g.resetToScottLocked("learner produced a non-positive or non-finite bandwidth")
-		} else {
-			g.setBandwidthLocked()
-		}
-	}
-	return nil
-}
-
-// FeedbackBatch folds a slice of observations in order, one Feedback each:
-// every feedback runs karma sample maintenance, which is per-query.
-func (g *Group) FeedbackBatch(fbs []query.Feedback) error {
-	for _, fb := range fbs {
-		if err := g.Feedback(fb.Query, fb.Actual); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.tune.Step(grad, append([]float64(nil), g.h...))
 }
 
 // groupSlots addresses the global sample by global index through the
@@ -796,8 +773,10 @@ func (s groupSlots) Replace(gi int, row []float64) error {
 	return err
 }
 
-// setBandwidthLocked installs g.h on every shard. Caller holds g.mu.
-func (g *Group) setBandwidthLocked() {
+// setBandwidthLocked makes h the group's bandwidth on every shard. Caller
+// holds g.mu.
+func (g *Group) setBandwidthLocked(h []float64) {
+	copy(g.h, h)
 	for _, sh := range g.shards {
 		if sh.est == nil {
 			continue
@@ -806,16 +785,6 @@ func (g *Group) setBandwidthLocked() {
 		_ = sh.est.SetBandwidth(g.h)
 		sh.mu.Unlock()
 	}
-}
-
-// resetToScottLocked recovers from a poisoned bandwidth by re-deriving
-// Scott's rule over the reassembled global sample. Caller holds g.mu.
-func (g *Group) resetToScottLocked(reason string) {
-	flat := g.sampleFlatLocked()
-	copy(g.h, kde.ScottBandwidth(flat, g.d))
-	g.setBandwidthLocked()
-	g.learn.Reset()
-	g.Degrade(core.Degraded, reason)
 }
 
 // sampleFlatLocked reassembles the global row-major sample from the
@@ -900,8 +869,7 @@ func (g *Group) AnalyzeShard(i int, fbs []query.Feedback) error {
 	if g.closed {
 		return ErrClosed
 	}
-	copy(g.h, h)
-	g.setBandwidthLocked()
+	g.setBandwidthLocked(h)
 	sh.analyzes.Inc()
 	g.publishLocked()
 	return nil
