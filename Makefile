@@ -9,11 +9,11 @@ BENCH ?= PR10
 
 .PHONY: verify fmtcheck build test race race-resilience mathx-accuracy \
 	precision-accuracy network-resilience shard-determinism ingest-lag \
-	e2ebench chaos vet \
+	e2ebench bench-smoke chaos vet \
 	bench bench-PR2 bench-PR4 bench-PR5 bench-PR6 bench-PR7 bench-PR8 \
 	bench-PR9 bench-PR10 bench-parallel bench-throughput
 
-verify: fmtcheck vet build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag race
+verify: fmtcheck vet build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag bench-smoke race
 
 # Fail when any file needs gofmt; list the offenders.
 fmtcheck:
@@ -139,6 +139,24 @@ ingest-lag:
 		{ echo "ingest exactly-once sharded restore round-trip did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestIngestDriftTriggersAnalyze' || \
 		{ echo "ingest drift-trigger test did not run"; exit 1; }
+
+# The serving experiments' benchmark wrappers must actually run, once each:
+# their own b.Fatal checks (exactly-once ingest accounting, a drift-scheduled
+# ANALYZE) never run under `go test ./...`. Each benchmark must print its
+# result line, so a skipped benchmark fails verify, not just a failing one.
+# BenchmarkAnalyzeUnderLoad is left out (one iteration takes about a minute
+# on a 2-vCPU host); TestAnalyzeUnderLoadShape covers it in the test suite.
+SMOKE_BENCHES = BenchmarkServeThroughput BenchmarkNetworkResilience \
+	BenchmarkRegistryMixedTraffic BenchmarkShardedEstimate BenchmarkIngestServing
+
+bench-smoke:
+	@out="$$($(GO) test -run TestNothing -bench 'BenchmarkServeThroughput|BenchmarkNetworkResilience|BenchmarkRegistryMixedTraffic|BenchmarkShardedEstimate|BenchmarkIngestServing' -benchtime 1x .)"; \
+	status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	for b in $(SMOKE_BENCHES); do \
+		echo "$$out" | grep -qE "^$$b[^[:space:]]*[[:space:]]+1[[:space:]]" || \
+			{ echo "$$b did not run"; exit 1; }; \
+	done
 
 # Chaos suite: deterministic fault schedules (failed transfers/launches,
 # diverged optimizers, non-finite gradients, corrupted checkpoints) against

@@ -335,12 +335,7 @@ func loadDataset(name string, d, rows int, seed int64) (*table.Table, error) {
 
 // makeWorkload draws train and test feedback of the given kind.
 func makeWorkload(tab *table.Table, kind workload.Kind, train, test int, seed int64) (trainFB, testFB []query.Feedback, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	qs, err := workload.Generate(tab, kind, train+test, workload.Config{}, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	fbs, err := workload.TrueSelectivities(tab, qs)
+	fbs, err := labelledWorkload(tab, kind, train+test, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"kdesel/internal/core"
@@ -193,36 +191,11 @@ func IngestLoad(cfg IngestLoadConfig) (*IngestLoadResult, error) {
 		return nil, err
 	}
 
-	// Closed-loop estimate clients.
-	perClient := make([][]latSample, cfg.Clients)
-	var (
-		stop    = make(chan struct{})
-		wg      sync.WaitGroup
-		errOnce sync.Once
-	)
-	var firstErr error
 	ctx := context.Background()
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(cfg.Seed + int64(9000+c)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := stream[crng.Intn(len(stream))]
-				t0 := time.Now()
-				if _, err := reg.EstimateContext(ctx, key, q); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				perClient[c] = append(perClient[c], latSample{start: t0, lat: time.Since(t0)})
-			}
-		}()
+	crngs := clientRands(cfg.Clients, cfg.Seed+9000)
+	estimate := func(c, _ int) (int, error) {
+		_, err := reg.EstimateContext(ctx, key, stream[crngs[c].Intn(len(stream))])
+		return 0, err
 	}
 
 	// The mutation replay walks ev.Ops at cfg.Rate during churn legs,
@@ -233,7 +206,7 @@ func IngestLoad(cfg IngestLoadConfig) (*IngestLoadResult, error) {
 	// They run in the untimed drift phase after the timed rounds instead.
 	// No feedback has been delivered yet, so a drift trigger during a
 	// timed leg counts but schedules nothing (the recent-feedback gate).
-	interval := time.Second / time.Duration(cfg.Rate)
+	gap := time.Second / time.Duration(cfg.Rate)
 	opPos := 0
 	produced := 0
 	mutateOne := func() (bool, error) {
@@ -267,7 +240,7 @@ func IngestLoad(cfg IngestLoadConfig) (*IngestLoadResult, error) {
 			if !mutated {
 				continue // skipped ops don't count against the pace
 			}
-			next = next.Add(interval)
+			next = next.Add(gap)
 			if d := time.Until(next); d > 0 {
 				time.Sleep(d)
 			}
@@ -275,16 +248,6 @@ func IngestLoad(cfg IngestLoadConfig) (*IngestLoadResult, error) {
 		return nil
 	}
 
-	// Interleaved paired legs with one untimed warm-up round (cold-process
-	// ramp: heap growth, first-touch faults, the adaptive model's first
-	// feedback steps).
-	type intv struct{ from, to time.Time }
-	var quiesIv, churnIv []intv
-	fail := func(err error) (*IngestLoadResult, error) {
-		close(stop)
-		wg.Wait()
-		return nil, err
-	}
 	// drain waits out the ring so a churn leg's buffered tail cannot bleed
 	// into the next quiescent leg (and, after the last round, so Applied
 	// and the cursor account for every produced mutation).
@@ -304,26 +267,31 @@ func IngestLoad(cfg IngestLoadConfig) (*IngestLoadResult, error) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	for r := -1; r < cfg.Rounds; r++ {
-		qs := time.Now()
-		time.Sleep(cfg.Duration)
-		cs := time.Now()
-		if err := replay(cs.Add(cfg.Duration)); err != nil {
-			return fail(err)
+	// Interleaved paired legs with one untimed warm-up round (cold-process
+	// ramp: heap growth, first-touch faults, the adaptive model's first
+	// feedback steps).
+	var quiesIv, churnIv []interval
+	samples, err := runClients(cfg.Clients, 0, estimate, func() error {
+		for r := -1; r < cfg.Rounds; r++ {
+			qs := time.Now()
+			time.Sleep(cfg.Duration)
+			cs := time.Now()
+			if err := replay(cs.Add(cfg.Duration)); err != nil {
+				return err
+			}
+			if err := drain(); err != nil {
+				return err
+			}
+			ce := time.Now()
+			if r >= 0 {
+				quiesIv = append(quiesIv, interval{qs, cs})
+				churnIv = append(churnIv, interval{cs, ce})
+			}
 		}
-		if err := drain(); err != nil {
-			return fail(err)
-		}
-		ce := time.Now()
-		if r >= 0 {
-			quiesIv = append(quiesIv, intv{qs, cs})
-			churnIv = append(churnIv, intv{cs, ce})
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Untimed drift phase: deliver the recent-feedback observations the
@@ -368,56 +336,12 @@ func IngestLoad(cfg IngestLoadConfig) (*IngestLoadResult, error) {
 		Cursor:         st.Cursor,
 	}
 
-	within := func(ivs []intv, from, to time.Time) int {
-		for r, iv := range ivs {
-			if !from.Before(iv.from) && !to.After(iv.to) {
-				return r
-			}
-		}
-		return -1
-	}
-	overlaps := func(ivs []intv, from, to time.Time) int {
-		for r, iv := range ivs {
-			if from.Before(iv.to) && to.After(iv.from) {
-				return r
-			}
-		}
-		return -1
-	}
-	quiesLegs := make([][]time.Duration, len(quiesIv))
-	churnLegs := make([][]time.Duration, len(churnIv))
-	var quiescent, during []time.Duration
-	for c := range perClient {
-		for _, s := range perClient[c] {
-			res.Served++
-			end := s.start.Add(s.lat)
-			if r := overlaps(churnIv, s.start, end); r >= 0 {
-				churnLegs[r] = append(churnLegs[r], s.lat)
-				during = append(during, s.lat)
-			} else if r := within(quiesIv, s.start, end); r >= 0 {
-				quiesLegs[r] = append(quiesLegs[r], s.lat)
-				quiescent = append(quiescent, s.lat)
-			}
-		}
-	}
-	res.DuringN = len(during)
-	res.QuiescentP99 = percentileDuration(quiescent, 0.99)
-	res.DuringP99 = percentileDuration(during, 0.99)
-	for r := range churnLegs {
-		if len(quiesLegs[r]) < minDuringSamples || len(churnLegs[r]) < minDuringSamples {
-			continue
-		}
-		q := percentileDuration(quiesLegs[r], 0.99)
-		d := percentileDuration(churnLegs[r], 0.99)
-		if q > 0 {
-			res.RoundRatios = append(res.RoundRatios, float64(d)/float64(q))
-		}
-	}
-	if n := len(res.RoundRatios); n > 0 {
-		sorted := append([]float64(nil), res.RoundRatios...)
-		sort.Float64s(sorted)
-		res.Ratio = sorted[n/2]
-	}
+	legs := splitLegs(samples, quiesIv, churnIv)
+	res.Served = len(samples)
+	res.DuringN = len(legs.during)
+	res.QuiescentP99 = percentileDuration(legs.quiescent, 0.99)
+	res.DuringP99 = percentileDuration(legs.during, 0.99)
+	res.RoundRatios, res.Ratio = legs.roundRatios()
 	res.Metrics = snapshotOf(cfg.Metrics)
 	return res, nil
 }

@@ -8,11 +8,9 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"kdesel/internal/core"
-	"kdesel/internal/datagen"
 	"kdesel/internal/fault"
 	"kdesel/internal/httpclient"
 	"kdesel/internal/httpserve"
@@ -20,7 +18,6 @@ import (
 	"kdesel/internal/query"
 	"kdesel/internal/registry"
 	"kdesel/internal/table"
-	"kdesel/internal/workload"
 )
 
 // DefaultNetworkFaults is the chaos schedule for the faulted run: periodic
@@ -169,24 +166,13 @@ type NetworkResult struct {
 // schedule, over one table and identical per-client query streams.
 func Network(cfg NetworkConfig) (*NetworkResult, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 23))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.Dims, 10, 0.1)
-	tab, err := table.New(cfg.Dims)
+	tab, err := syntheticTable(rand.New(rand.NewSource(cfg.Seed+23)), cfg.Rows, cfg.Dims)
 	if err != nil {
 		return nil, err
 	}
-	if err := tab.InsertMany(ds.Rows); err != nil {
+	streams, err := clientStreams(tab, cfg.Overload*cfg.MaxInFlight, cfg.QueriesPerClient, cfg.Seed+3000)
+	if err != nil {
 		return nil, err
-	}
-	clients := cfg.Overload * cfg.MaxInFlight
-	streams := make([][]query.Range, clients)
-	for c := range streams {
-		qrng := rand.New(rand.NewSource(cfg.Seed + int64(3000+c)))
-		qs, err := workload.Generate(tab, workload.UV, cfg.QueriesPerClient, workload.Config{}, qrng)
-		if err != nil {
-			return nil, err
-		}
-		streams[c] = qs
 	}
 	sched, err := fault.ParseSchedule(cfg.Faults)
 	if err != nil {
@@ -261,6 +247,24 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 	if err != nil {
 		return nil, err
 	}
+	// One transport per run: connection state (keep-alives severed by the
+	// netdrop fault) must not leak into the next run's latencies.
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	hcs := make([]*httpclient.Client, len(streams))
+	for c := range hcs {
+		// Retries disabled: the experiment classifies raw outcomes, so
+		// each call must be exactly one wire request.
+		if hcs[c], err = httpclient.New(httpclient.Config{
+			BaseURL:    "http://" + ln.Addr().String(),
+			HTTPClient: &http.Client{Transport: tr},
+			MaxRetries: -1,
+			Seed:       cfg.Seed + int64(c),
+		}); err != nil {
+			ln.Close()
+			return nil, err
+		}
+	}
 	hs := &http.Server{Handler: fe}
 	go hs.Serve(ln)
 
@@ -270,55 +274,26 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 
 	clients := len(streams)
 	pt := &NetworkPoint{Faulted: inj != nil, Clients: clients}
-	type clientTally struct {
-		accepted, shed []time.Duration
-		failed         int
-	}
-	tallies := make([]clientTally, clients)
-	// One transport per run: connection state (keep-alives severed by the
-	// netdrop fault) must not leak into the next run's latencies.
-	tr := &http.Transport{}
-	defer tr.CloseIdleConnections()
-	baseURL := "http://" + ln.Addr().String()
-
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
+	// Each sample's tag is the request's outcome, so no call returns an
+	// error.
+	const (
+		accepted = iota
+		shed
+		failed
+	)
 	start := time.Now()
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Retries disabled: the experiment classifies raw outcomes, so
-			// each call must be exactly one wire request.
-			hc, err := httpclient.New(httpclient.Config{
-				BaseURL:    baseURL,
-				HTTPClient: &http.Client{Transport: tr},
-				MaxRetries: -1,
-				Seed:       cfg.Seed + int64(c),
-			})
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			t := &tallies[c]
-			for _, q := range streams[c] {
-				t0 := time.Now()
-				_, err := hc.Estimate(context.Background(), "", q.Lo, q.Hi)
-				lat := time.Since(t0)
-				switch {
-				case err == nil:
-					t.accepted = append(t.accepted, lat)
-				case errors.Is(err, httpclient.ErrShed):
-					t.shed = append(t.shed, lat)
-				default:
-					t.failed++
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	samples, _ := runClients(clients, cfg.QueriesPerClient, func(c, i int) (int, error) {
+		q := streams[c][i]
+		_, err := hcs[c].Estimate(context.Background(), "", q.Lo, q.Hi)
+		switch {
+		case err == nil:
+			return accepted, nil
+		case errors.Is(err, httpclient.ErrShed):
+			return shed, nil
+		default:
+			return failed, nil
+		}
+	}, nil)
 	pt.Elapsed = time.Since(start)
 
 	// Shut the edge down before reading counters: Drain (inside Close)
@@ -331,22 +306,18 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 	if err := hs.Shutdown(shutCtx); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
 
-	var accepted, shed []time.Duration
-	for i := range tallies {
-		accepted = append(accepted, tallies[i].accepted...)
-		shed = append(shed, tallies[i].shed...)
-		pt.Failed += tallies[i].failed
+	var lats [failed + 1][]time.Duration
+	for _, x := range samples {
+		lats[x.tag] = append(lats[x.tag], x.lat)
 	}
-	pt.Accepted = len(accepted)
-	pt.Shed = len(shed)
+	pt.Accepted = len(lats[accepted])
+	pt.Shed = len(lats[shed])
+	pt.Failed = len(lats[failed])
 	pt.Issued = clients * cfg.QueriesPerClient
-	pt.AcceptedP50 = percentileDuration(accepted, 0.50)
-	pt.AcceptedP99 = percentileDuration(accepted, 0.99)
-	pt.ShedP50 = percentileDuration(shed, 0.50)
+	pt.AcceptedP50 = percentileDuration(lats[accepted], 0.50)
+	pt.AcceptedP99 = percentileDuration(lats[accepted], 0.99)
+	pt.ShedP50 = percentileDuration(lats[shed], 0.50)
 	if sec := pt.Elapsed.Seconds(); sec > 0 {
 		pt.AcceptedQPS = float64(pt.Accepted) / sec
 	}

@@ -5,11 +5,9 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"kdesel/internal/core"
-	"kdesel/internal/datagen"
 	"kdesel/internal/metrics"
 	"kdesel/internal/query"
 	"kdesel/internal/registry"
@@ -107,12 +105,6 @@ func (c RegistryLoadConfig) withDefaults() RegistryLoadConfig {
 	return c
 }
 
-// minDuringSamples is the floor below which a model's during-ANALYZE p99 is
-// reported as unmeasured instead of feeding the isolation verdict: a p99
-// over a handful of observations is just the max, and one scheduler hiccup
-// would decide the run. Models below the floor print "-" in the table.
-const minDuringSamples = 8
-
 // RegistryModelStat is one model's view of the run.
 type RegistryModelStat struct {
 	Key          string
@@ -182,13 +174,8 @@ func RegistryLoad(cfg RegistryLoadConfig) (*RegistryLoadResult, error) {
 		dir = tmp
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 101))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.BaseDims, 10, 0.1)
-	base, err := table.New(cfg.BaseDims)
+	base, err := syntheticTable(rand.New(rand.NewSource(cfg.Seed+101)), cfg.Rows, cfg.BaseDims)
 	if err != nil {
-		return nil, err
-	}
-	if err := base.InsertMany(ds.Rows); err != nil {
 		return nil, err
 	}
 
@@ -287,99 +274,66 @@ func RegistryLoad(cfg RegistryLoadConfig) (*RegistryLoadResult, error) {
 	// the run measures isolation rather than the target's own cost.
 	analyzeKey := keys[1%nModels]
 	evictKey := keys[2%nModels]
-	trng := rand.New(rand.NewSource(cfg.Seed + 41))
-	atab := reg.Table(analyzeKey)
-	tqs, err := workload.Generate(atab, workload.UV, cfg.Feedback, workload.Config{}, trng)
+	train, err := labelledWorkload(reg.Table(analyzeKey), workload.UV, cfg.Feedback, rand.New(rand.NewSource(cfg.Seed+41)))
 	if err != nil {
 		return nil, err
 	}
-	train := make([]query.Feedback, len(tqs))
-	for i, q := range tqs {
-		actual, err := atab.Selectivity(q)
-		if err != nil {
-			return nil, err
-		}
-		train[i] = query.Feedback{Query: q, Actual: actual}
-	}
 
-	// Closed-loop clients: per-client, per-model latency samples.
-	type sampleSet struct{ byModel [][]latSample }
-	perClient := make([]sampleSet, cfg.Clients)
-	for c := range perClient {
-		perClient[c].byModel = make([][]latSample, nModels)
+	// Closed-loop clients; each sample's tag is the model it hit.
+	crngs := clientRands(cfg.Clients, cfg.Seed+5000)
+	counts := make([][]int, cfg.Clients)
+	for c := range counts {
+		counts[c] = make([]int, nModels)
 	}
-	var (
-		stop    = make(chan struct{})
-		wg      sync.WaitGroup
-		errOnce sync.Once
-	)
-	var firstErr error
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(cfg.Seed + int64(5000+c)))
-			counts := make([]int, nModels)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i := pickModel(crng)
-				q := streams[i][counts[i]%len(streams[i])]
-				counts[i]++
-				t0 := time.Now()
-				if _, err := reg.Estimate(keys[i], q); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				perClient[c].byModel[i] = append(perClient[c].byModel[i],
-					latSample{start: t0, lat: time.Since(t0)})
-			}
-		}()
+	estimate := func(c, _ int) (int, error) {
+		i := pickModel(crngs[c])
+		q := streams[i][counts[c][i]%len(streams[i])]
+		counts[c][i]++
+		_, err := reg.Estimate(keys[i], q)
+		return i, err
 	}
 
 	// Quiescent phase under the load-matched burner, then churn: ANALYZE
-	// the hottest model while evicting the second-hottest, with traffic
-	// flowing throughout.
-	burnStop := make(chan struct{})
-	go func() { // same scheduler pressure as the churn-phase ANALYZE goroutine
-		x := 1.0
-		for {
-			select {
-			case <-burnStop:
-				burnSink = x // defeat dead-code elimination of the burn loop
-				return
-			default:
+	// one model while evicting another, with traffic flowing throughout.
+	var churnStart, analyzeEnd time.Time
+	runStart := time.Now()
+	samples, err := runClients(cfg.Clients, 0, estimate, func() error {
+		burnStop := make(chan struct{})
+		go func() { // same scheduler pressure as the churn-phase ANALYZE goroutine
+			x := 1.0
+			for {
+				select {
+				case <-burnStop:
+					burnSink = x // defeat dead-code elimination of the burn loop
+					return
+				default:
+				}
+				for i := 0; i < 1<<14; i++ {
+					x = x*1.0000001 + 1e-9
+				}
 			}
-			for i := 0; i < 1<<14; i++ {
-				x = x*1.0000001 + 1e-9
-			}
+		}()
+		time.Sleep(cfg.Duration)
+		close(burnStop)
+		churnStart = time.Now()
+		analyzeDone := make(chan error, 1)
+		go func() { analyzeDone <- reg.Analyze(analyzeKey, train) }()
+		time.Sleep(5 * time.Millisecond)
+		evictErr := reg.Evict(evictKey)
+		aerr := <-analyzeDone
+		analyzeEnd = time.Now()
+		// Tail: let the evicted model restore under traffic and latencies settle.
+		time.Sleep(cfg.Duration / 4)
+		if aerr != nil {
+			return fmt.Errorf("analyze %v: %w", analyzeKey, aerr)
 		}
-	}()
-	time.Sleep(cfg.Duration)
-	close(burnStop)
-	churnStart := time.Now()
-	analyzeDone := make(chan error, 1)
-	go func() { analyzeDone <- reg.Analyze(analyzeKey, train) }()
-	time.Sleep(5 * time.Millisecond)
-	evictErr := reg.Evict(evictKey)
-	aerr := <-analyzeDone
-	analyzeEnd := time.Now()
-	// Tail: let the evicted model restore under traffic and latencies settle.
-	time.Sleep(cfg.Duration / 4)
-	close(stop)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if aerr != nil {
-		return nil, fmt.Errorf("analyze %v: %w", analyzeKey, aerr)
-	}
-	if evictErr != nil {
-		return nil, fmt.Errorf("evict %v: %w", evictKey, evictErr)
+		if evictErr != nil {
+			return fmt.Errorf("evict %v: %w", evictKey, evictErr)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &RegistryLoadResult{
@@ -388,32 +342,23 @@ func RegistryLoad(cfg RegistryLoadConfig) (*RegistryLoadResult, error) {
 		EvictKey:      evictKey.String(),
 		AnalyzeWindow: analyzeEnd.Sub(churnStart),
 	}
+	byModel := make([][]latSample, nModels)
+	for _, x := range samples {
+		byModel[x.tag] = append(byModel[x.tag], x)
+	}
+	quies := []interval{{runStart, churnStart}}
+	churn := []interval{{churnStart, analyzeEnd}}
 	for i, k := range keys {
-		var quiescent, during []time.Duration
-		served := 0
-		for c := range perClient {
-			for _, s := range perClient[c].byModel[i] {
-				served++
-				end := s.start.Add(s.lat)
-				switch {
-				case end.Before(churnStart):
-					quiescent = append(quiescent, s.lat)
-				case s.start.Before(analyzeEnd) && end.After(churnStart):
-					during = append(during, s.lat)
-				}
-			}
-		}
+		legs := splitLegs(byModel[i], quies, churn)
 		st := RegistryModelStat{
 			Key:          k.String(),
 			Weight:       weights[i],
-			Served:       served,
-			DuringN:      len(during),
-			QuiescentP99: percentileDuration(quiescent, 0.99),
-			DuringP99:    percentileDuration(during, 0.99),
+			Served:       len(byModel[i]),
+			DuringN:      len(legs.during),
+			QuiescentP99: percentileDuration(legs.quiescent, 0.99),
+			DuringP99:    percentileDuration(legs.during, 0.99),
 		}
-		if len(quiescent) >= minDuringSamples && len(during) >= minDuringSamples && st.QuiescentP99 > 0 {
-			st.Ratio = float64(st.DuringP99) / float64(st.QuiescentP99)
-		}
+		_, st.Ratio = legs.roundRatios()
 		if k.String() != res.AnalyzeKey && k.String() != res.EvictKey && st.Ratio > res.MaxOtherRatio {
 			res.MaxOtherRatio = st.Ratio
 		}

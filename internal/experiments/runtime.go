@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"kdesel/internal/core"
-	"kdesel/internal/datagen"
 	"kdesel/internal/gpu"
 	"kdesel/internal/metrics"
 	"kdesel/internal/query"
@@ -100,19 +99,11 @@ const stholesPerBucketCostPerDim = 23 * time.Nanosecond
 func Runtime(cfg RuntimeConfig) (*RuntimeResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.Dims, 10, 0.1)
-	tab, err := table.New(cfg.Dims)
+	tab, err := syntheticTable(rng, cfg.Rows, cfg.Dims)
 	if err != nil {
 		return nil, err
 	}
-	if err := tab.InsertMany(ds.Rows); err != nil {
-		return nil, err
-	}
-	qs, err := workload.Generate(tab, workload.UV, cfg.Queries, workload.Config{}, rng)
-	if err != nil {
-		return nil, err
-	}
-	fbs, err := workload.TrueSelectivities(tab, qs)
+	fbs, err := labelledWorkload(tab, workload.UV, cfg.Queries, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -5,16 +5,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"kdesel/internal/bandwidth"
-	"kdesel/internal/datagen"
 	"kdesel/internal/metrics"
-	"kdesel/internal/query"
 	"kdesel/internal/shard"
-	"kdesel/internal/table"
 	"kdesel/internal/workload"
 )
 
@@ -149,13 +144,8 @@ type ShardLoadResult struct {
 func ShardLoad(cfg ShardLoadConfig) (*ShardLoadResult, error) {
 	cfg = cfg.withDefaults()
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 211))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.Dims, 10, 0.1)
-	tab, err := table.New(cfg.Dims)
+	tab, err := syntheticTable(rand.New(rand.NewSource(cfg.Seed+211)), cfg.Rows, cfg.Dims)
 	if err != nil {
-		return nil, err
-	}
-	if err := tab.InsertMany(ds.Rows); err != nil {
 		return nil, err
 	}
 
@@ -176,18 +166,9 @@ func ShardLoad(cfg ShardLoadConfig) (*ShardLoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trng := rand.New(rand.NewSource(cfg.Seed + 227))
-	tqs, err := workload.Generate(tab, workload.UV, cfg.Feedback, workload.Config{}, trng)
+	train, err := labelledWorkload(tab, workload.UV, cfg.Feedback, rand.New(rand.NewSource(cfg.Seed+227)))
 	if err != nil {
 		return nil, err
-	}
-	train := make([]query.Feedback, len(tqs))
-	for i, q := range tqs {
-		actual, err := tab.Selectivity(q)
-		if err != nil {
-			return nil, err
-		}
-		train[i] = query.Feedback{Query: q, Actual: actual}
 	}
 
 	// Pre-ANALYZE probe of a fixed query set, for the drift figure.
@@ -200,35 +181,10 @@ func ShardLoad(cfg ShardLoadConfig) (*ShardLoadResult, error) {
 	}
 	h0 := g.Bandwidth()
 
-	// Closed-loop clients.
-	perClient := make([][]latSample, cfg.Clients)
-	var (
-		stop    = make(chan struct{})
-		wg      sync.WaitGroup
-		errOnce sync.Once
-	)
-	var firstErr error
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(cfg.Seed + int64(7000+c)))
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := stream[crng.Intn(len(stream))]
-				t0 := time.Now()
-				if _, err := g.Estimate(q); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				perClient[c] = append(perClient[c], latSample{start: t0, lat: time.Since(t0)})
-			}
-		}()
+	crngs := clientRands(cfg.Clients, cfg.Seed+7000)
+	estimate := func(c, _ int) (int, error) {
+		_, err := g.Estimate(stream[crngs[c].Intn(len(stream))])
+		return 0, err
 	}
 
 	// Alternating paired phases: each round runs a quiescent leg — the
@@ -249,7 +205,6 @@ func ShardLoad(cfg ShardLoadConfig) (*ShardLoadResult, error) {
 		return nil, err
 	}
 	brng := rand.New(rand.NewSource(cfg.Seed + 233))
-	type interval struct{ from, to time.Time }
 	var (
 		quiesIv, churnIv []interval
 		analyzes         int
@@ -261,37 +216,34 @@ func ShardLoad(cfg ShardLoadConfig) (*ShardLoadResult, error) {
 	// cycle, first-touch page faults — and a single warm-up call proved
 	// too short (a cold process's first timed round still ran ~3× slower
 	// process-wide, and unevenly across legs).
-	for r := -2; r < cfg.Rounds; r++ {
-		qs := time.Now()
-		for n := 0; n == 0 || time.Since(qs) < cfg.Duration; n++ {
-			if _, err := bandwidth.Optimal(burnFlat, cfg.Dims, train, bandwidth.OptimalConfig{
-				Rand: brng, Workers: cfg.Workers,
-			}); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("burner optimize: %w", err)
+	samples, err := runClients(cfg.Clients, 0, estimate, func() error {
+		for r := -2; r < cfg.Rounds; r++ {
+			qs := time.Now()
+			for n := 0; n == 0 || time.Since(qs) < cfg.Duration; n++ {
+				if _, err := bandwidth.Optimal(burnFlat, cfg.Dims, train, bandwidth.OptimalConfig{
+					Rand: brng, Workers: cfg.Workers,
+				}); err != nil {
+					return fmt.Errorf("burner optimize: %w", err)
+				}
+			}
+			cs := time.Now()
+			for n := 0; n == 0 || time.Since(cs) < cfg.Duration; n++ {
+				if err := g.AnalyzeShard(target, train); err != nil {
+					return fmt.Errorf("analyze shard %d: %w", target, err)
+				}
+				analyzes++
+			}
+			ce := time.Now()
+			if r >= 0 {
+				quiesIv = append(quiesIv, interval{qs, cs})
+				churnIv = append(churnIv, interval{cs, ce})
+				analyzeTotal += ce.Sub(cs)
 			}
 		}
-		cs := time.Now()
-		for n := 0; n == 0 || time.Since(cs) < cfg.Duration; n++ {
-			if err := g.AnalyzeShard(target, train); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("analyze shard %d: %w", target, err)
-			}
-			analyzes++
-		}
-		ce := time.Now()
-		if r >= 0 {
-			quiesIv = append(quiesIv, interval{qs, cs})
-			churnIv = append(churnIv, interval{cs, ce})
-			analyzeTotal += ce.Sub(cs)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &ShardLoadResult{
@@ -320,60 +272,12 @@ func ShardLoad(cfg ShardLoadConfig) (*ShardLoadResult, error) {
 		}
 	}
 
-	// A request belongs to a quiescent leg when its whole lifetime sat
-	// inside that leg, and to a churn leg when any part of it overlapped
-	// the leg; requests straddling a leg boundary on the quiescent side
-	// are discarded rather than misfiled.
-	within := func(ivs []interval, from, to time.Time) int {
-		for r, iv := range ivs {
-			if !from.Before(iv.from) && !to.After(iv.to) {
-				return r
-			}
-		}
-		return -1
-	}
-	overlaps := func(ivs []interval, from, to time.Time) int {
-		for r, iv := range ivs {
-			if from.Before(iv.to) && to.After(iv.from) {
-				return r
-			}
-		}
-		return -1
-	}
-	quiesLegs := make([][]time.Duration, len(quiesIv))
-	churnLegs := make([][]time.Duration, len(churnIv))
-	var quiescent, during []time.Duration
-	for c := range perClient {
-		for _, s := range perClient[c] {
-			res.Served++
-			end := s.start.Add(s.lat)
-			if r := overlaps(churnIv, s.start, end); r >= 0 {
-				churnLegs[r] = append(churnLegs[r], s.lat)
-				during = append(during, s.lat)
-			} else if r := within(quiesIv, s.start, end); r >= 0 {
-				quiesLegs[r] = append(quiesLegs[r], s.lat)
-				quiescent = append(quiescent, s.lat)
-			}
-		}
-	}
-	res.DuringN = len(during)
-	res.QuiescentP99 = percentileDuration(quiescent, 0.99)
-	res.DuringP99 = percentileDuration(during, 0.99)
-	for r := range churnLegs {
-		if len(quiesLegs[r]) < minDuringSamples || len(churnLegs[r]) < minDuringSamples {
-			continue
-		}
-		q := percentileDuration(quiesLegs[r], 0.99)
-		d := percentileDuration(churnLegs[r], 0.99)
-		if q > 0 {
-			res.RoundRatios = append(res.RoundRatios, float64(d)/float64(q))
-		}
-	}
-	if n := len(res.RoundRatios); n > 0 {
-		sorted := append([]float64(nil), res.RoundRatios...)
-		sort.Float64s(sorted)
-		res.Ratio = sorted[n/2]
-	}
+	legs := splitLegs(samples, quiesIv, churnIv)
+	res.Served = len(samples)
+	res.DuringN = len(legs.during)
+	res.QuiescentP99 = percentileDuration(legs.quiescent, 0.99)
+	res.DuringP99 = percentileDuration(legs.during, 0.99)
+	res.RoundRatios, res.Ratio = legs.roundRatios()
 	res.Metrics = snapshotOf(cfg.Metrics)
 	return res, nil
 }

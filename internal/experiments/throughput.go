@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"kdesel/internal/core"
-	"kdesel/internal/datagen"
 	"kdesel/internal/mathx"
 	"kdesel/internal/metrics"
 	"kdesel/internal/query"
@@ -99,27 +96,17 @@ type ThroughputResult struct {
 // points differ only in concurrency.
 func Throughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.Dims, 10, 0.1)
-	tab, err := table.New(cfg.Dims)
+	tab, err := syntheticTable(rand.New(rand.NewSource(cfg.Seed+11)), cfg.Rows, cfg.Dims)
 	if err != nil {
-		return nil, err
-	}
-	if err := tab.InsertMany(ds.Rows); err != nil {
 		return nil, err
 	}
 
 	res := &ThroughputResult{Config: cfg}
 	for _, clients := range cfg.Clients {
 		// Per-client query streams, regenerated identically per point.
-		streams := make([][]query.Range, clients)
-		for c := range streams {
-			qrng := rand.New(rand.NewSource(cfg.Seed + int64(1000+c)))
-			qs, err := workload.Generate(tab, workload.UV, cfg.QueriesPerClient, workload.Config{}, qrng)
-			if err != nil {
-				return nil, err
-			}
-			streams[c] = qs
+		streams, err := clientStreams(tab, clients, cfg.QueriesPerClient, cfg.Seed+1000)
+		if err != nil {
+			return nil, err
 		}
 
 		est, err := core.Build(tab, core.Config{
@@ -148,31 +135,18 @@ func Throughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 		})
 		res.ActivePrecision = srv.ActivePrecision()
 
-		var wg sync.WaitGroup
-		var firstErr error
-		var errOnce sync.Once
 		start := time.Now()
-		for c := 0; c < clients; c++ {
-			qs := streams[c]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, q := range qs {
-					if _, err := srv.Estimate(q); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		_, err = runClients(clients, cfg.QueriesPerClient, func(c, i int) (int, error) {
+			_, err := srv.Estimate(streams[c][i])
+			return 0, err
+		}, nil)
 		elapsed := time.Since(start)
 		// Capture before Close: Close retires the coalescer, so afterwards
 		// Coalescing reports false even for a run that batched throughout.
 		coalesced := srv.Coalescing()
 		srv.Close()
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 
 		total := clients * cfg.QueriesPerClient
@@ -292,38 +266,19 @@ type AnalyzeLoadResult struct {
 // workload: serialized baseline first, then snapshot-isolated serving.
 func AnalyzeUnderLoad(cfg AnalyzeLoadConfig) (*AnalyzeLoadResult, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
-	ds := datagen.Synthetic(rng, cfg.Rows, cfg.Dims, 10, 0.1)
-	tab, err := table.New(cfg.Dims)
+	tab, err := syntheticTable(rand.New(rand.NewSource(cfg.Seed+17)), cfg.Rows, cfg.Dims)
 	if err != nil {
-		return nil, err
-	}
-	if err := tab.InsertMany(ds.Rows); err != nil {
 		return nil, err
 	}
 	// ANALYZE training set: true selectivities over a generated workload.
-	trng := rand.New(rand.NewSource(cfg.Seed + 29))
-	tqs, err := workload.Generate(tab, workload.UV, cfg.Feedback, workload.Config{}, trng)
+	train, err := labelledWorkload(tab, workload.UV, cfg.Feedback, rand.New(rand.NewSource(cfg.Seed+29)))
 	if err != nil {
 		return nil, err
 	}
-	train := make([]query.Feedback, len(tqs))
-	for i, q := range tqs {
-		actual, err := tab.Selectivity(q)
-		if err != nil {
-			return nil, err
-		}
-		train[i] = query.Feedback{Query: q, Actual: actual}
-	}
 	// Per-client query streams, identical across both runs.
-	streams := make([][]query.Range, cfg.Clients)
-	for c := range streams {
-		qrng := rand.New(rand.NewSource(cfg.Seed + int64(2000+c)))
-		qs, err := workload.Generate(tab, workload.UV, 256, workload.Config{}, qrng)
-		if err != nil {
-			return nil, err
-		}
-		streams[c] = qs
+	streams, err := clientStreams(tab, cfg.Clients, 256, cfg.Seed+2000)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &AnalyzeLoadResult{Config: cfg}
@@ -349,12 +304,6 @@ func AnalyzeUnderLoad(cfg AnalyzeLoadConfig) (*AnalyzeLoadResult, error) {
 	return res, nil
 }
 
-// latSample is one client estimate: when it was issued and how long it took.
-type latSample struct {
-	start time.Time
-	lat   time.Duration
-}
-
 // analyzeLoadRun is one serving configuration: clients estimate in a closed
 // loop while the writer fires cfg.Rounds ANALYZE passes, recording each
 // pass's wall-clock window. A latency counts as "during ANALYZE" when the
@@ -378,39 +327,17 @@ func analyzeLoadRun(cfg AnalyzeLoadConfig, tab *table.Table, train []query.Feedb
 		Metrics:            reg,
 		SerializeEstimates: serialize,
 	})
+	defer srv.Close()
 
-	var (
-		served   atomic.Int64
-		stop     = make(chan struct{})
-		wg       sync.WaitGroup
-		firstErr error
-		errOnce  sync.Once
-	)
-	perClient := make([][]latSample, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qs := streams[c]
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := qs[i%len(qs)]
-				t0 := time.Now()
-				if _, err := srv.Estimate(q); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				perClient[c] = append(perClient[c], latSample{start: t0, lat: time.Since(t0)})
-				served.Add(1)
-			}
-		}()
+	var served atomic.Int64
+	estimate := func(c, i int) (int, error) {
+		qs := streams[c]
+		if _, err := srv.Estimate(qs[i%len(qs)]); err != nil {
+			return 0, err
+		}
+		served.Add(1)
+		return 0, nil
 	}
-
 	// Writer: wait for the client loops to warm up, then fire the ANALYZE
 	// rounds with a served-traffic gap between them so the run also samples
 	// quiescent latencies.
@@ -419,66 +346,34 @@ func analyzeLoadRun(cfg AnalyzeLoadConfig, tab *table.Table, train []query.Feedb
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	type window struct{ from, to time.Time }
-	var windows []window
+	var windows []interval
 	pt := &AnalyzeLoadPoint{Serialized: serialize, AnalyzeRounds: cfg.Rounds}
-	waitServed(int64(2 * cfg.Clients))
-	for r := 0; r < cfg.Rounds; r++ {
-		t0 := time.Now()
-		err = srv.Reoptimize(train)
-		t1 := time.Now()
-		windows = append(windows, window{from: t0, to: t1})
-		pt.AnalyzeTotal += t1.Sub(t0)
-		if err != nil {
-			break
+	samples, err := runClients(cfg.Clients, 0, estimate, func() error {
+		waitServed(int64(2 * cfg.Clients))
+		for r := 0; r < cfg.Rounds; r++ {
+			t0 := time.Now()
+			err := srv.Reoptimize(train)
+			t1 := time.Now()
+			windows = append(windows, interval{t0, t1})
+			pt.AnalyzeTotal += t1.Sub(t0)
+			if err != nil {
+				return err
+			}
+			waitServed(served.Load() + int64(2*cfg.Clients))
 		}
-		waitServed(served.Load() + int64(2*cfg.Clients))
-	}
-	close(stop)
-	wg.Wait()
-	srv.Close()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
 
-	var during []time.Duration
-	for _, samples := range perClient {
-		pt.Queries += len(samples)
-		for _, s := range samples {
-			end := s.start.Add(s.lat)
-			for _, w := range windows {
-				if s.start.Before(w.to) && end.After(w.from) {
-					during = append(during, s.lat)
-					break
-				}
-			}
-		}
-	}
+	during := splitLegs(samples, nil, windows).during
+	pt.Queries = len(samples)
 	pt.During = len(during)
 	pt.P50 = percentileDuration(during, 0.50)
 	pt.P99 = percentileDuration(during, 0.99)
 	pt.Max = percentileDuration(during, 1.0)
 	return pt, nil
-}
-
-// percentileDuration returns the p-quantile of lats by nearest-rank over the
-// sorted sample; 0 for an empty sample. lats is sorted in place.
-func percentileDuration(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(p*float64(len(lats))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
 }
 
 // WriteTable renders the paired runs and the p99 speedup.
