@@ -9,11 +9,11 @@ BENCH ?= PR10
 
 .PHONY: verify fmtcheck build test race race-resilience mathx-accuracy \
 	precision-accuracy network-resilience shard-determinism ingest-lag \
-	e2ebench bench-smoke chaos vet \
+	e2ebench bench-smoke chaos vet crossbuild \
 	bench bench-PR2 bench-PR4 bench-PR5 bench-PR6 bench-PR7 bench-PR8 \
 	bench-PR9 bench-PR10 bench-parallel bench-throughput
 
-verify: fmtcheck vet build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag bench-smoke race
+verify: fmtcheck vet crossbuild build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag bench-smoke race
 
 # Fail when any file needs gofmt; list the offenders.
 fmtcheck:
@@ -25,6 +25,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The float32 mass kernels have an amd64 assembly loop and a pure-Go
+# fallback for every other architecture (internal/kernel/mass32_other.go).
+# amd64 `go vet` already checks the assembly against its Go declarations
+# (asmdecl); vet a 64-bit and build a 32-bit non-amd64 target so the
+# fallback keeps compiling.
+crossbuild:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -63,17 +71,21 @@ mathx-accuracy:
 		{ echo "mathx exact-mode bit-identity check did not run"; exit 1; }
 
 # The precision-tier error contracts must actually run, like mathx-accuracy:
-# the float32 segment-table sweep (|error| ≤ 1e-6) and the end-to-end tier
-# contract (float32 ≤ 1e-5 max relative estimate error against the float64
-# path, and the verify gate's fallback behavior).
+# the float32 segment-table sweep (|error| ≤ 1e-6), the vector mass loop's
+# bit-identity with the pure-Go loops, and the end-to-end tier contract
+# (float32 ≤ 1e-5 max relative estimate error against the float64 path, and
+# the verify gate's fallback behavior).
 precision-accuracy:
 	@out="$$($(GO) test -count=1 -run 'TestFastErf32Accuracy' -v ./internal/mathx/ && \
+		$(GO) test -count=1 -run 'TestGaussianMass32SIMDMatchesGo' -v ./internal/kernel/ && \
 		$(GO) test -count=1 -run 'TestPrecisionTierContracts' -v ./internal/kde/ && \
 		$(GO) test -count=1 -run 'TestPrecisionVerifyGate' -v ./internal/core/)"; \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	echo "$$out" | grep -q -- '--- PASS: TestFastErf32Accuracy' || \
 		{ echo "float32 erf accuracy sweep did not run"; exit 1; }; \
+	echo "$$out" | grep -q -- '--- PASS: TestGaussianMass32SIMDMatchesGo' || \
+		{ echo "float32 vector-vs-Go mass kernel check did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestPrecisionTierContracts' || \
 		{ echo "precision tier contract sweep did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestPrecisionVerifyGate' || \

@@ -20,9 +20,27 @@ import (
 // otherwise pay. erf32 matches FastErf32 bit for bit on every finite
 // nonzero input (enforced by TestErf32MatchesFastErf32); it diverges only
 // at ±0 (returning the segment-0 cubic's ≈ −5.2e-8 instead of ±0) and on
-// NaN (returning ±1 instead of propagating — NaN can never produce a table
-// index, and a NaN estimate would be caught by the publish-time verify
-// gate, which treats any non-finite comparison as over-contract).
+// NaN (returning ±1 by the NaN's sign bit instead of propagating — NaN can
+// never produce a table index).
+//
+// NaN arguments do reach these kernels: a finite float64 sample value or
+// query bound beyond the float32 range becomes ±Inf in the tier, so u−t can
+// be Inf−Inf, and an inv that overflowed to +Inf makes (u−t)·inv = 0·Inf on
+// a row centered exactly on a bound. Such a bound saturates to ±1, so the
+// row mass stays finite and in [−1, 1] but is not the true mass — it can
+// even be negative — and the estimate is finite and wrong, never NaN. On an
+// unsharded model the publish-time verify gate (core.ensurePrecision)
+// compares 32 probe queries against the float64 path and refuses the tier
+// only if a probe's error is over contract, which needs a probe to reach
+// the affected rows; a sharded group sets its shards' precision with no
+// gate at all (shard.buildShards, Group.SetPrecision), so there such an
+// estimate is served as is.
+//
+// GaussianMassFill32 and GaussianMassMul32 run 16 rows at a time through
+// an AVX-512F loop (mass32_amd64.s) on CPUs that have it, chosen once at
+// init; the pure-Go loops below are the fallback elsewhere, the remainder
+// loop for the last len%16 rows, and the oracle the vector loop must match
+// bit for bit (TestGaussianMass32SIMDMatchesGo, FuzzGaussianMass32).
 
 // erf32 evaluates the FastErf32 segment table (passed in so the pointer
 // load is hoisted out of the kernel loops). Small enough to inline.
@@ -96,6 +114,40 @@ func GaussianMassScaled32(l, u, t, inv float32) float32 {
 // dst[i] = ½·[erf32((u−col[i])·inv) − erf32((l−col[i])·inv)].
 // Returns the number of nonzero masses written.
 func GaussianMassFill32(dst, col []float32, l, u, inv float32) int {
+	v, nz := massVector32(dst, col, l, u, inv, false)
+	if v < len(col) {
+		nz += gaussianMassFill32Go(dst[v:], col[v:], l, u, inv)
+	}
+	return nz
+}
+
+// GaussianMassMul32 multiplies dst[i] by the float32 Gaussian interval mass
+// for col[i], skipping rows whose running product is already zero — the
+// same early-exit contract as GaussianMassMul (a zero product stays zero
+// even if a later dimension evaluates to NaN). Returns the number of rows
+// left nonzero.
+func GaussianMassMul32(dst, col []float32, l, u, inv float32) int {
+	v, nz := massVector32(dst, col, l, u, inv, true)
+	if v < len(col) {
+		nz += gaussianMassMul32Go(dst[v:], col[v:], l, u, inv)
+	}
+	return nz
+}
+
+// massVector32 runs the vector loop over the longest 16-row prefix of col
+// when the CPU has one, returning the prefix length and its nonzero count
+// (0, 0 otherwise).
+func massVector32(dst, col []float32, l, u, inv float32, mul bool) (v, nz int) {
+	v = len(col) &^ 15
+	if !useAVX512 || v == 0 {
+		return 0, 0
+	}
+	_ = dst[len(col)-1] // the assembly writes dst[:v] unchecked
+	return v, gaussianMass32AVX512(&dst[0], &col[0], v, l, u, inv, mul)
+}
+
+// gaussianMassFill32Go is the pure-Go GaussianMassFill32 loop.
+func gaussianMassFill32Go(dst, col []float32, l, u, inv float32) int {
 	tab := mathx.Erf32Table()
 	_ = dst[len(col)-1]
 	nz := 0
@@ -126,12 +178,8 @@ func GaussianMassFill32(dst, col []float32, l, u, inv float32) int {
 	return nz
 }
 
-// GaussianMassMul32 multiplies dst[i] by the float32 Gaussian interval mass
-// for col[i], skipping rows whose running product is already zero — the
-// same early-exit contract as GaussianMassMul (a zero product stays zero
-// even if a later dimension evaluates to NaN). Returns the number of rows
-// left nonzero.
-func GaussianMassMul32(dst, col []float32, l, u, inv float32) int {
+// gaussianMassMul32Go is the pure-Go GaussianMassMul32 loop.
+func gaussianMassMul32Go(dst, col []float32, l, u, inv float32) int {
 	tab := mathx.Erf32Table()
 	_ = dst[len(col)-1]
 	nz := 0
