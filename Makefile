@@ -8,12 +8,12 @@ GO ?= go
 BENCH ?= PR10
 
 .PHONY: verify fmtcheck build test race race-resilience mathx-accuracy \
-	precision-accuracy network-resilience shard-determinism ingest-lag \
+	precision-accuracy network-resilience shard-determinism checkpoint-compat ingest-lag \
 	e2ebench bench-smoke chaos vet crossbuild \
 	bench bench-PR2 bench-PR4 bench-PR5 bench-PR6 bench-PR7 bench-PR8 \
 	bench-PR9 bench-PR10 bench-parallel bench-throughput
 
-verify: fmtcheck vet crossbuild build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism ingest-lag bench-smoke race
+verify: fmtcheck vet crossbuild build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism checkpoint-compat ingest-lag bench-smoke race
 
 # Fail when any file needs gofmt; list the offenders.
 fmtcheck:
@@ -130,6 +130,31 @@ shard-determinism:
 		{ echo "shard feedback-invariance check did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestGroupLearnsLikeCore' || \
 		{ echo "group-vs-core learning-step check did not run"; exit 1; }
+
+# The checkpoint contracts of both model engines must actually run, like
+# mathx-accuracy: pre-meta (v1) frames still decode; core checkpoints
+# (host and device) and Save/Load streams restore bit-identically and keep a
+# configured karma loss; a sharded group restores bit-identically with its
+# query count; CRC-valid frames with hostile contents (NaN karma or
+# bandwidth, wrong karma length, a ragged sample) fail to restore without a
+# panic in either engine; and a registry evict/restore reproduces every
+# estimate. A skipped test fails verify, not just a failing one.
+CHECKPOINT_TESTS = TestV1FrameBackCompat TestCheckpointRoundTripBitIdentical \
+	TestCheckpointRoundTripDevice TestSaveLoadRoundTrip TestRestoreKeepsKarmaLoss \
+	TestShardCheckpointRoundTrip TestShardQueriesSurviveRestore \
+	TestHostileCheckpointFrames TestLifecycleEvictRestoreBitIdentical
+
+checkpoint-compat:
+	@out="$$($(GO) test -count=1 -run 'TestV1FrameBackCompat' -v ./internal/checkpoint/ && \
+		$(GO) test -count=1 -run 'TestCheckpointRoundTripBitIdentical|TestCheckpointRoundTripDevice|TestSaveLoadRoundTrip|TestRestoreKeepsKarmaLoss' -v ./internal/core/ && \
+		$(GO) test -count=1 -run 'TestShardCheckpointRoundTrip|TestShardQueriesSurviveRestore|TestHostileCheckpointFrames' -v ./internal/shard/ && \
+		$(GO) test -count=1 -run 'TestLifecycleEvictRestoreBitIdentical' -v ./internal/registry/)"; \
+	status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	for t in $(CHECKPOINT_TESTS); do \
+		echo "$$out" | grep -q -- "--- PASS: $$t (" || \
+			{ echo "checkpoint test $$t did not run"; exit 1; }; \
+	done
 
 # The continuous-ingestion contracts must actually run, like mathx-accuracy:
 # the serving-under-mutation race test (>= 10k concurrent mutations against

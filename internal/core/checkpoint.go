@@ -39,22 +39,17 @@ func (e *Estimator) Checkpoint(path string) error {
 	if err != nil {
 		return err
 	}
+	ms := e.maint.State()
 	st := chkState{
-		Snap:      e.makeSnapshot(flat),
-		RNGDraws:  e.src.Draws(),
-		Workers:   e.cfg.Workers,
-		Health:    int(e.Health()),
-		LastEvent: e.LastDegradation(),
-		GradTrips: e.trips,
-		IngestSeq: e.maint.Cursor,
+		Snap:          e.makeSnapshot(flat, ms.Karma),
+		ReservoirSeen: ms.Seen,
+		RNGDraws:      ms.Draws,
+		Workers:       e.cfg.Workers,
+		Health:        int(e.Health()),
+		LastEvent:     e.LastDegradation(),
+		IngestSeq:     ms.Cursor,
 	}
-	if e.learn != nil {
-		ls := e.learn.State()
-		st.Learner = &ls
-	}
-	if e.maint.Res != nil {
-		st.ReservoirSeen = e.maint.Res.Seen()
-	}
+	st.Learner, st.GradTrips = e.tuner.state()
 	// The configured serving precision rides in the frame's meta word (low
 	// byte), so restore rebuilds — and re-verifies — the same tier.
 	if err := checkpoint.WriteFileMeta(path, &st, uint32(e.precWant), e.faults); err != nil {
@@ -77,31 +72,19 @@ func RestoreCheckpoint(path string, tab *table.Table, dev *gpu.Device) (*Estimat
 	if err != nil {
 		return nil, err
 	}
-	e, err := restoreFromSnapshot(st.Snap, tab, dev)
+	ms := sample.State{Draws: st.RNGDraws, Seen: st.ReservoirSeen, Karma: st.Snap.KarmaScores, Cursor: st.IngestSeq}
+	e, err := restoreFromSnapshot(st.Snap, ms, tab, dev)
 	if err != nil {
 		return nil, err
 	}
-	if st.Learner != nil && e.learn != nil {
-		if err := e.learn.Restore(*st.Learner); err != nil {
-			return nil, err
-		}
+	if err := e.tuner.restore(st.Learner, st.GradTrips); err != nil {
+		return nil, err
 	}
-	if e.maint.Res != nil && st.ReservoirSeen > 0 {
-		// Reservoir decisions depend only on (capacity, seen, rng); the
-		// rng below is fast-forwarded to the recorded stream position.
-		e.maint.Res, err = sample.NewReservoir(e.s, st.ReservoirSeen, e.rng)
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.src.FastForward(st.RNGDraws)
 	e.cfg.Workers = st.Workers
 	if e.host != nil {
 		e.host.SetWorkers(st.Workers)
 	}
 	e.Ladder.restore(Health(st.Health), st.LastEvent)
-	e.trips = st.GradTrips
-	e.maint.Cursor = st.IngestSeq
 	// Reapply the checkpointed serving precision. The tier is rebuilt from
 	// the restored sample and passes the verify gate again before serving.
 	e.configurePrecision(PrecisionFromMeta(meta))

@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -161,8 +160,9 @@ type Estimator struct {
 	d    int
 	s    int
 	kern kernel.Kernel
-	rng  *rand.Rand
-	src  *sample.CountingSource // the source behind rng; draws are checkpointed
+	// src is maint.Src, the counted source behind maint.Rng, kept as a
+	// field because the checkpoint round-trip test compares its draws.
+	src *sample.CountingSource
 
 	// Exactly one of host/eng is active: eng when a device is configured.
 	// hostMirror shadows the device-resident sample row-major on the host
@@ -181,8 +181,9 @@ type Estimator struct {
 	// estimator-level fault injector faults, and the learner learn (nil
 	// unless Adaptive).
 	tuner
-	// maint carries the karma scores, the reservoir and the change-feed
-	// cursor; Karma and Res are nil unless the model maintains its sample.
+	// maint carries the random stream, the karma scores, the reservoir and
+	// the change-feed cursor; Karma and Res are nil unless the model
+	// maintains its sample.
 	maint sample.Maintainer
 	met   coreMetrics
 
@@ -224,30 +225,13 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 	if cfg.Mode == Batch && len(cfg.Training) == 0 {
 		return nil, errors.New("core: batch mode requires training feedback")
 	}
-	d := tab.Dims()
-	src := sample.NewCountingSource(cfg.Seed + 1)
-	rng := rand.New(src)
-	s := cfg.sampleSize()
-	if s > tab.Len() {
-		s = tab.Len()
-	}
-	flat, err := tab.SampleFlat(s, rng)
+	e := newEstimator(tab, cfg)
+	d := e.d
+	flat, err := e.maint.Draw(tab, cfg.sampleSize(), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	e := &Estimator{
-		cfg:   cfg,
-		tab:   tab,
-		d:     d,
-		s:     s,
-		kern:  cfg.kernel(),
-		rng:   rng,
-		src:   src,
-		maint: sample.Maintainer{Rng: rng},
-		tuner: tuner{lf: cfg.loss(), faults: cfg.Faults},
-	}
-	e.bindTuner()
+	e.s, e.src = len(flat)/d, e.maint.Src
 
 	// Initial bandwidth per mode. Build-time degradations are counted
 	// after Instrument resolves the metric instruments below.
@@ -260,7 +244,7 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 	case SCV:
 		// Cross-validation runs on the host exactly like the paper's use
 		// of the external R selector.
-		h, err = bandwidth.SCV(flat, d, bandwidth.CVConfig{Rand: rng})
+		h, err = bandwidth.SCV(flat, d, bandwidth.CVConfig{Rand: e.maint.Rng})
 		if err != nil {
 			return nil, fmt.Errorf("core: scv bandwidth selection: %w", err)
 		}
@@ -284,66 +268,19 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 		return nil, fmt.Errorf("core: unknown mode %d", int(cfg.Mode))
 	}
 
-	// Model placement: device engine or host estimator. A device that
-	// fails transiently while being populated degrades the model to the
-	// host path rather than failing ANALYZE.
-	onDevice := false
-	if cfg.Device != nil {
-		var eng *gpu.Engine
-		err = e.retryDevice(func() error {
-			var nerr error
-			eng, nerr = gpu.NewEngine(cfg.Device, d, e.kern, flat)
-			if nerr != nil {
-				return nerr
-			}
-			return eng.SetBandwidth(h)
-		})
-		switch {
-		case err == nil:
-			e.eng = eng
-			e.hostMirror = append([]float64(nil), flat...)
-			onDevice = true
-		case errors.Is(err, fault.ErrInjected):
-			e.Degrade(Degraded, "device unavailable at build; placed model on host")
-			buildFallbacks++
-		default:
-			return nil, err
-		}
+	// A device that fails transiently while being populated degrades the
+	// model to the host path rather than failing ANALYZE.
+	err = e.place(flat, h, cfg.Device)
+	if errors.Is(err, fault.ErrInjected) {
+		e.Degrade(Degraded, "device unavailable at build; placed model on host")
+		buildFallbacks++
+		err = e.place(flat, h, nil)
 	}
-	if !onDevice {
-		e.host, err = kde.New(d, e.kern)
-		if err != nil {
-			return nil, err
-		}
-		e.host.SetWorkers(cfg.Workers)
-		if err := e.host.SetSampleFlat(flat); err != nil {
-			return nil, err
-		}
-		if err := e.host.SetBandwidth(h); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-
-	if cfg.Mode == Adaptive {
-		e.learn, err = learner.NewRMSprop(d, cfg.Learner)
-		if err != nil {
-			return nil, err
-		}
-		if !cfg.DisableMaintenance {
-			kcfg := cfg.Karma
-			if kcfg.Loss == nil {
-				kcfg.Loss = e.lf
-			}
-			e.maint.Karma, err = sample.NewKarma(s, kcfg)
-			if err != nil {
-				return nil, err
-			}
-			e.maint.Res, err = sample.NewReservoir(s, tab.Len(), rng)
-			if err != nil {
-				return nil, err
-			}
-			tab.Subscribe(e)
-		}
+	if err := e.adapt(!cfg.DisableMaintenance, nil); err != nil {
+		return nil, err
 	}
 	e.Instrument(cfg.Metrics)
 	if e.Health() != Healthy {
@@ -354,11 +291,61 @@ func Build(tab *table.Table, cfg Config) (*Estimator, error) {
 	return e, nil
 }
 
-// bindTuner points the learning step at the estimator's ladder, its
-// device-free sample copy and its bandwidth hook (health.go).
-func (e *Estimator) bindTuner() {
-	e.tuner.d, e.tuner.ladder = e.d, &e.Ladder
-	e.tuner.sample, e.tuner.install = e.sampleHostLocal, e.installBandwidth
+// newEstimator returns the unplaced estimator of cfg over tab. Its learning
+// step is bound to its ladder, its device-free sample copy and its
+// bandwidth hook (health.go).
+func newEstimator(tab *table.Table, cfg Config) *Estimator {
+	e := &Estimator{cfg: cfg, tab: tab, d: tab.Dims(), kern: cfg.kernel()}
+	e.tuner = tuner{d: e.d, lf: cfg.loss(), faults: cfg.Faults, ladder: &e.Ladder,
+		sample: e.sampleHostLocal, install: e.installBandwidth}
+	return e
+}
+
+// place puts the model, sample flat with bandwidth h, on dev through the
+// retry policy of health.go, or on the host when dev is nil.
+func (e *Estimator) place(flat, h []float64, dev *gpu.Device) error {
+	if dev != nil {
+		return e.retryDevice(func() error {
+			eng, err := gpu.NewEngine(dev, e.d, e.kern, flat)
+			if err == nil {
+				err = eng.SetBandwidth(h)
+			}
+			if err == nil {
+				e.eng, e.hostMirror = eng, append([]float64(nil), flat...)
+			}
+			return err
+		})
+	}
+	host, err := kde.New(e.d, e.kern)
+	if err != nil {
+		return err
+	}
+	host.SetWorkers(e.cfg.Workers)
+	if err := host.SetSampleFlat(flat); err != nil {
+		return err
+	}
+	if err := host.SetBandwidth(h); err != nil {
+		return err
+	}
+	e.host = host
+	return nil
+}
+
+// adapt gives an Adaptive model its learner and, when maintained is set,
+// its karma and reservoir maintenance (sample.Maintainer.Track, with st
+// from a checkpoint or nil). Other modes neither learn nor maintain.
+func (e *Estimator) adapt(maintained bool, st *sample.State) error {
+	if e.cfg.Mode != Adaptive {
+		return nil
+	}
+	var err error
+	if e.learn, err = learner.NewRMSprop(e.d, e.cfg.Learner); err != nil {
+		return err
+	}
+	if maintained {
+		return e.maint.Track(e.tab, e, e.s, e.cfg.Karma, e.lf, st)
+	}
+	return nil
 }
 
 // batchOptions fills the Batch optimizer's unset options from the
@@ -372,7 +359,7 @@ func (e *Estimator) batchOptions(reg *metrics.Registry) bandwidth.OptimalConfig 
 		opts.Loss = e.lf
 	}
 	if opts.Rand == nil {
-		opts.Rand = e.rng
+		opts.Rand = e.maint.Rng
 	}
 	if opts.Workers == 0 {
 		opts.Workers = e.cfg.Workers
@@ -443,9 +430,6 @@ func (e *Estimator) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	// Degradation state as a pull-style gauge: 0 healthy, 1 degraded,
-	// 2 fallback (see health.go).
-	reg.RegisterGaugeFunc("core.health", func() float64 { return float64(e.Health()) })
 	// Age of the published read snapshot: how stale a lock-free estimate can
 	// be relative to the writer's latest mutation. 0 when snapshot-isolated
 	// serving is off (no Server, or SerializeEstimates).
@@ -765,19 +749,11 @@ func (e *Estimator) maintainSample(q query.Range, actual float64) error {
 	if e.maint.Karma == nil {
 		return nil
 	}
-	var idx []int
-	var err error
-	if e.eng != nil {
-		idx, err = e.eng.UpdateKarma(e.maint.Karma, actual)
-	} else {
-		bound := 0.0
-		if actual == 0 {
-			if _, ok := e.kern.(kernel.Gaussian); ok {
-				bound = sample.EmptyRegionBound(q, e.Bandwidth())
-			}
-		}
-		idx, err = e.maint.Karma.Update(e.lastContrib, e.lastEst, actual, bound)
+	if e.eng == nil {
+		return e.maint.KarmaPass(estimatorSlots{e}, e.tab, q, e.Bandwidth(), e.kern, e.lastContrib, e.lastEst, actual)
 	}
+	// The device runs the same pass over its retained contributions.
+	idx, err := e.eng.UpdateKarma(e.maint.Karma, actual)
 	if err != nil {
 		return err
 	}

@@ -325,13 +325,10 @@ func (e *Estimator) installBandwidth(h []float64, reset bool) error {
 // Recovery paths use it so that a misbehaving device cannot block its own
 // repair.
 func (e *Estimator) sampleHostLocal() ([]float64, error) {
-	if e.eng != nil {
-		if len(e.hostMirror) != e.s*e.d {
-			return nil, errors.New("core: host sample mirror unavailable")
-		}
-		return append([]float64(nil), e.hostMirror...), nil
+	flat := e.sampleRef()
+	if len(flat) != e.s*e.d {
+		return nil, errors.New("core: host sample mirror unavailable")
 	}
-	flat := e.host.SampleFlat()
 	return append([]float64(nil), flat...), nil
 }
 

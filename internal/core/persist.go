@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"kdesel/internal/gpu"
-	"kdesel/internal/kde"
 	"kdesel/internal/kernel"
 	"kdesel/internal/learner"
 	"kdesel/internal/loss"
@@ -40,10 +38,13 @@ type snapshot struct {
 	Replacements int
 	LearnerCfg   learner.Config
 	KarmaCfg     karmaCfgSnapshot
+	// KarmaLoss names a configured karma loss. Frames without it fall back
+	// to LossName, which is what an unset karma loss resolves to.
+	KarmaLoss string
 }
 
 // karmaCfgSnapshot mirrors sample.KarmaConfig without the non-serializable
-// loss function (carried by name in LossName).
+// loss function (carried by name in KarmaLoss).
 type karmaCfgSnapshot struct {
 	Max        float64
 	Threshold  float64
@@ -52,8 +53,8 @@ type karmaCfgSnapshot struct {
 }
 
 // makeSnapshot captures the estimator's model state around the given
-// host-resident copy of the sample.
-func (e *Estimator) makeSnapshot(flat []float64) snapshot {
+// host-resident copy of the sample and the maintenance scores karma.
+func (e *Estimator) makeSnapshot(flat, karma []float64) snapshot {
 	snap := snapshot{
 		Version:      snapshotVersion,
 		Mode:         int(e.cfg.Mode),
@@ -64,6 +65,7 @@ func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 		LossName:     e.lf.Name(),
 		Seed:         e.cfg.Seed,
 		Maintained:   e.maint.Karma != nil,
+		KarmaScores:  karma,
 		Queries:      int(e.queries.Load()),
 		Replacements: e.replacements,
 		LearnerCfg:   e.cfg.Learner,
@@ -74,8 +76,8 @@ func (e *Estimator) makeSnapshot(flat []float64) snapshot {
 			NoShortcut: e.cfg.Karma.NoShortcut,
 		},
 	}
-	if e.maint.Karma != nil {
-		snap.KarmaScores = e.maint.Karma.Scores()
+	if e.cfg.Karma.Loss != nil {
+		snap.KarmaLoss = e.cfg.Karma.Loss.Name()
 	}
 	return snap
 }
@@ -87,14 +89,15 @@ func (e *Estimator) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	snap := e.makeSnapshot(flat)
+	snap := e.makeSnapshot(flat, e.maint.State().Karma)
 	return gob.NewEncoder(w).Encode(&snap)
 }
 
-// restoreFromSnapshot rebuilds an estimator from a decoded snapshot, bound
-// to tab and optionally placed on dev. It is shared by Load (gob stream)
-// and RestoreCheckpoint (framed, CRC-checked checkpoint file).
-func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Estimator, error) {
+// restoreFromSnapshot rebuilds an estimator from a decoded snapshot and
+// maintenance state st, bound to tab and optionally placed on dev. It is
+// shared by Load (gob stream, where st holds only the karma scores) and
+// RestoreCheckpoint (framed, CRC-checked checkpoint file).
+func restoreFromSnapshot(snap snapshot, st sample.State, tab *table.Table, dev *gpu.Device) (*Estimator, error) {
 	if tab == nil {
 		return nil, errors.New("core: nil table")
 	}
@@ -115,83 +118,38 @@ func restoreFromSnapshot(snap snapshot, tab *table.Table, dev *gpu.Device) (*Est
 	if !ok {
 		return nil, fmt.Errorf("core: unknown loss %q in snapshot", snap.LossName)
 	}
+	kl := lf
+	if snap.KarmaLoss != "" {
+		if kl, ok = loss.ByName(snap.KarmaLoss); !ok {
+			return nil, fmt.Errorf("core: unknown karma loss %q in snapshot", snap.KarmaLoss)
+		}
+	}
 
-	src := sample.NewCountingSource(snap.Seed + 1)
-	rng := rand.New(src)
-	e := &Estimator{
-		cfg: Config{
-			Mode:       Mode(snap.Mode),
-			SampleSize: len(snap.Sample) / snap.Dims,
-			Kernel:     kern,
-			Loss:       lf,
-			Device:     dev,
-			Learner:    snap.LearnerCfg,
-			Karma: sample.KarmaConfig{
-				Max:        snap.KarmaCfg.Max,
-				Threshold:  snap.KarmaCfg.Threshold,
-				NoScale:    snap.KarmaCfg.NoScale,
-				NoShortcut: snap.KarmaCfg.NoShortcut,
-				Loss:       lf,
-			},
-			Seed: snap.Seed,
+	e := newEstimator(tab, Config{
+		Mode:       Mode(snap.Mode),
+		SampleSize: len(snap.Sample) / snap.Dims,
+		Kernel:     kern,
+		Loss:       lf,
+		Device:     dev,
+		Learner:    snap.LearnerCfg,
+		Karma: sample.KarmaConfig{
+			Max:        snap.KarmaCfg.Max,
+			Threshold:  snap.KarmaCfg.Threshold,
+			NoScale:    snap.KarmaCfg.NoScale,
+			NoShortcut: snap.KarmaCfg.NoShortcut,
+			Loss:       kl,
 		},
-		tab:          tab,
-		d:            snap.Dims,
-		s:            len(snap.Sample) / snap.Dims,
-		kern:         kern,
-		rng:          rng,
-		src:          src,
-		maint:        sample.Maintainer{Rng: rng},
-		replacements: snap.Replacements,
-		tuner:        tuner{lf: lf},
-	}
-	e.bindTuner()
+		Seed: snap.Seed,
+	})
+	e.maint.Restore(snap.Seed, st)
+	e.s, e.src = e.cfg.SampleSize, e.maint.Src
+	e.replacements = snap.Replacements
 	e.queries.Store(int64(snap.Queries))
-
-	var err error
-	if dev != nil {
-		e.eng, err = gpu.NewEngine(dev, e.d, kern, snap.Sample)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.eng.SetBandwidth(snap.Bandwidth); err != nil {
-			return nil, err
-		}
-		e.hostMirror = append([]float64(nil), snap.Sample...)
-	} else {
-		e.host, err = kde.New(e.d, kern)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.host.SetSampleFlat(snap.Sample); err != nil {
-			return nil, err
-		}
-		if err := e.host.SetBandwidth(snap.Bandwidth); err != nil {
-			return nil, err
-		}
+	if err := e.place(snap.Sample, snap.Bandwidth, dev); err != nil {
+		return nil, err
 	}
-
-	if e.cfg.Mode == Adaptive {
-		e.learn, err = learner.NewRMSprop(e.d, e.cfg.Learner)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Maintained {
-			e.maint.Karma, err = sample.NewKarma(e.s, e.cfg.Karma)
-			if err != nil {
-				return nil, err
-			}
-			if snap.KarmaScores != nil {
-				if err := e.maint.Karma.RestoreScores(snap.KarmaScores); err != nil {
-					return nil, err
-				}
-			}
-			e.maint.Res, err = sample.NewReservoir(e.s, tab.Len(), e.rng)
-			if err != nil {
-				return nil, err
-			}
-			tab.Subscribe(e)
-		}
+	if err := e.adapt(snap.Maintained, &st); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -208,5 +166,5 @@ func Load(r io.Reader, tab *table.Table, dev *gpu.Device) (*Estimator, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
-	return restoreFromSnapshot(snap, tab, dev)
+	return restoreFromSnapshot(snap, sample.State{Karma: snap.KarmaScores}, tab, dev)
 }

@@ -61,10 +61,13 @@ type tunerMetrics struct {
 }
 
 // instrument resolves the step's counters, under the same core.* names for
-// both engines, the learner's own instruments and the ladder's transition
-// counter. nil detaches. Call it at setup, not concurrently with Degrade.
+// both engines, the learner's own instruments, the ladder's transition
+// counter and its position as the gauge core.health (0 healthy, 1 degraded,
+// 2 fallback). nil detaches. Call it at setup, not concurrently with
+// Degrade.
 func (t *tuner) instrument(reg *metrics.Registry) {
 	t.ladder.events = reg.Counter("core.degradation_events")
+	reg.RegisterGaugeFunc("core.health", func() float64 { return float64(t.ladder.Health()) })
 	t.met = tunerMetrics{
 		minibatch:   reg.Counter("core.minibatch_updates"),
 		rejected:    reg.Counter("core.gradients_rejected"),
@@ -181,6 +184,26 @@ func (t *tuner) reset(reason string) error {
 	return nil
 }
 
+// state returns the step's part of a checkpoint: the learner's
+// accumulators, nil for a model that never learns, and the rejection
+// streak.
+func (t *tuner) state() (*learner.State, int) {
+	if t.learn == nil {
+		return nil, t.trips
+	}
+	ls := t.learn.State()
+	return &ls, t.trips
+}
+
+// restore reinstates a state; a nil ls leaves the learner as it is.
+func (t *tuner) restore(ls *learner.State, trips int) error {
+	t.trips = trips
+	if ls == nil || t.learn == nil {
+		return nil
+	}
+	return t.learn.Restore(*ls)
+}
+
 // Tuner is the learning step for a model engine outside this package (the
 // sharded group): the same code the Estimator runs, behind the calls such
 // an engine needs. The Estimator embeds the unexported tuner instead, so
@@ -198,8 +221,8 @@ func NewTuner(d int, learn *learner.RMSprop, lf loss.Function, faults *fault.Inj
 }
 
 // Instrument attaches the step's core.* counters, the learner's learner.*
-// instruments and the ladder's core.degradation_events to reg; nil
-// detaches.
+// instruments and the ladder's core.degradation_events and core.health to
+// reg; nil detaches.
 func (t *Tuner) Instrument(reg *metrics.Registry) { t.t.instrument(reg) }
 
 // LossGradient scales a feedback's selectivity gradient into the loss
@@ -214,12 +237,9 @@ func (t *Tuner) LossGradient(grad []float64, est, actual float64) {
 // poisoned or wedged.
 func (t *Tuner) Step(grad, h []float64) error { return t.t.step(grad, h) }
 
-// State returns the learner's accumulators and the rejection streak, the
-// step's part of a checkpoint.
-func (t *Tuner) State() (learner.State, int) { return t.t.learn.State(), t.t.trips }
+// State returns the step's part of a checkpoint: the learner's
+// accumulators and the rejection streak.
+func (t *Tuner) State() (*learner.State, int) { return t.t.state() }
 
 // Restore reinstates a State.
-func (t *Tuner) Restore(st learner.State, trips int) error {
-	t.t.trips = trips
-	return t.t.learn.Restore(st)
-}
+func (t *Tuner) Restore(ls *learner.State, trips int) error { return t.t.restore(ls, trips) }

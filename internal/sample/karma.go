@@ -91,10 +91,17 @@ func (k *Karma) Scores() []float64 {
 	return out
 }
 
-// RestoreScores reinstates previously saved karma scores.
+// RestoreScores reinstates previously saved karma scores. It rejects a
+// non-finite score: a NaN never falls below the threshold, so its point
+// would be exempt from maintenance forever.
 func (k *Karma) RestoreScores(scores []float64) error {
 	if len(scores) != len(k.scores) {
 		return fmt.Errorf("sample: restoring %d scores into karma of size %d", len(scores), len(k.scores))
+	}
+	for i, v := range scores {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sample: karma score %d is %v", i, v)
+		}
 	}
 	copy(k.scores, scores)
 	return nil

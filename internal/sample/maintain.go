@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 
+	"kdesel/internal/kernel"
+	"kdesel/internal/loss"
 	"kdesel/internal/metrics"
+	"kdesel/internal/query"
 	"kdesel/internal/table"
 )
 
@@ -20,9 +23,10 @@ type Slots interface {
 	Replace(i int, row []float64) error
 }
 
-// Maintainer applies the point-replacement half of §4.2 sample maintenance
-// — the karma replacement loop, reservoir inserts, evict-and-resample
-// deletes and patch-in-place updates — to a sample it reaches only through
+// Maintainer owns the lifecycle of a model's maintained sample (§4.2): the
+// draw, the karma and reservoir state, the karma pass over each feedback,
+// change-feed inserts, evict-and-resample deletes and patch-in-place
+// updates, and the checkpointed State. It reaches the sample only through
 // Slots. Both model engines drive it: the serving core over its flat (or
 // device) sample, the shard group over the global index space its shards
 // partition. Every scan runs in global slot order and every random decision
@@ -32,8 +36,10 @@ type Slots interface {
 // A Maintainer is not safe for concurrent use; its owner serializes calls
 // under its writer lock.
 type Maintainer struct {
-	// Rng is the owner's counted maintenance stream.
+	// Rng is the model's random stream, set by Draw or Restore; Src is the
+	// counted source behind it, whose Draws the State records.
 	Rng *rand.Rand
+	Src *CountingSource
 	// Res decides inserts. Nil disables change-feed maintenance; the
 	// cursor still advances.
 	Res *Reservoir
@@ -44,6 +50,88 @@ type Maintainer struct {
 	Cursor uint64
 
 	met maintMetrics
+}
+
+// State is what a checkpoint carries to resume a Maintainer bit-identically:
+// the stream position (Src.Draws), the reservoir's seen count (0 means the
+// table size), the karma scores (nil when the sample is not maintained)
+// and the change-feed cursor. Each engine maps it onto its own payload.
+type State struct {
+	Draws  uint64
+	Seen   int
+	Karma  []float64
+	Cursor uint64
+}
+
+// Draw seeds the model's stream with seed+1 and draws min(s, tab.Len())
+// rows of tab through it, row-major.
+func (m *Maintainer) Draw(tab *table.Table, s int, seed int64) ([]float64, error) {
+	m.Restore(seed, State{})
+	return tab.SampleFlat(min(s, tab.Len()), m.Rng)
+}
+
+// Restore seeds the stream with seed+1, fast-forwards it to st.Draws and
+// reinstates the cursor; Track reinstates the rest of st.
+func (m *Maintainer) Restore(seed int64, st State) {
+	m.Src = NewCountingSource(seed + 1)
+	m.Src.FastForward(st.Draws)
+	m.Rng, m.Cursor = rand.New(m.Src), st.Cursor
+}
+
+// Track turns on maintenance of an s-slot sample of tab: karma scored by
+// cfg.Loss, or by the model loss lf when that is unset, and a reservoir
+// over tab's inserts; then the model l subscribes to tab. A new model
+// passes a nil st; a restored one its checkpointed State, whose scores
+// must cover all s slots.
+func (m *Maintainer) Track(tab *table.Table, l table.Listener, s int, cfg KarmaConfig, lf loss.Function, st *State) error {
+	if cfg.Loss == nil {
+		cfg.Loss = lf
+	}
+	k, err := NewKarma(s, cfg)
+	if err != nil {
+		return err
+	}
+	seen := tab.Len()
+	if st != nil {
+		if err := k.RestoreScores(st.Karma); err != nil {
+			return err
+		}
+		if st.Seen > 0 {
+			seen = st.Seen
+		}
+	}
+	if m.Res, err = NewReservoir(s, seen, m.Rng); err != nil {
+		return err
+	}
+	m.Karma = k
+	tab.Subscribe(l)
+	return nil
+}
+
+// State captures what Restore and Track need to resume the maintainer.
+func (m *Maintainer) State() State {
+	st := State{Draws: m.Src.Draws(), Cursor: m.Cursor}
+	if m.Karma != nil {
+		st.Karma, st.Seen = m.Karma.Scores(), m.Res.Seen()
+	}
+	return st
+}
+
+// KarmaPass folds one feedback into the karma scores and replaces the
+// slots it finds outdated with random rows of tab. contrib holds the
+// per-slot contributions to q behind the estimate est under bandwidth h
+// and kernel kern; a Gaussian kernel enables the empty-region shortcut.
+func (m *Maintainer) KarmaPass(s Slots, tab *table.Table, q query.Range, h []float64, kern kernel.Kernel,
+	contrib []float64, est, actual float64) error {
+	bound := 0.0
+	if _, ok := kern.(kernel.Gaussian); ok && actual == 0 {
+		bound = EmptyRegionBound(q, h)
+	}
+	idx, err := m.Karma.Update(contrib, est, actual, bound)
+	if err != nil {
+		return err
+	}
+	return m.ReplaceOutdated(s, tab, idx)
 }
 
 type maintMetrics struct {

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"kdesel/internal/checkpoint"
@@ -38,6 +37,9 @@ type groupState struct {
 	// gradients, so a restored group resets on the same feedback as the
 	// original. Older frames restore with 0.
 	GradTrips int
+	// Queries is the estimated-query count (Group.Queries). Older frames
+	// restore with 0.
+	Queries int
 }
 
 // shardFrame is the gob payload of frames 1..K: one shard's row-major
@@ -57,19 +59,22 @@ func (g *Group) Checkpoint(path string) error {
 	if g.closed {
 		return ErrClosed
 	}
+	ms := g.maint.State()
 	st := groupState{
 		K:         g.k,
 		D:         g.d,
 		STotal:    g.sTotal,
 		Seed:      g.cfg.Seed,
 		H:         append([]float64(nil), g.h...),
-		Draws:     g.src.Draws(),
-		ResSeen:   g.maint.Res.Seen(),
-		Karma:     g.maint.Karma.Scores(),
+		Draws:     ms.Draws,
+		ResSeen:   ms.Seen,
+		Karma:     ms.Karma,
 		Analyzes:  g.analyzes,
-		IngestSeq: g.maint.Cursor,
+		IngestSeq: ms.Cursor,
+		Queries:   g.Queries(),
 	}
-	st.Learner, st.GradTrips = g.tune.State()
+	ls, trips := g.tune.State()
+	st.Learner, st.GradTrips = *ls, trips
 	frames := make([][]byte, 0, g.k+1)
 	f0, err := checkpoint.MarshalMeta(st, uint32(g.prec))
 	if err != nil {
@@ -89,7 +94,11 @@ func (g *Group) Checkpoint(path string) error {
 		}
 		frames = append(frames, b)
 	}
-	return checkpoint.WriteFileFrames(path, frames, g.faults)
+	if err := checkpoint.WriteFileFrames(path, frames, g.faults); err != nil {
+		return err
+	}
+	g.met.checkpoints.Inc()
+	return nil
 }
 
 // Restore rebuilds a group from a Checkpoint file against tab. Runtime
@@ -119,67 +128,40 @@ func Restore(path string, tab *table.Table, cfg Config) (*Group, error) {
 		return nil, fmt.Errorf("%w: group frame (k=%d, d=%d, frames=%d) inconsistent with table (d=%d)",
 			checkpoint.ErrCorrupt, st.K, st.D, len(frames), tab.Dims())
 	}
-	prec := core.PrecisionFromMeta(meta)
-
-	g := &Group{
-		cfg:      cfg,
-		tab:      tab,
-		d:        st.D,
-		k:        st.K,
-		lf:       cfg.loss(),
-		pool:     cfg.pool(),
-		faults:   cfg.Faults,
-		sTotal:   st.STotal,
-		h:        append([]float64(nil), st.H...),
-		prec:     prec,
-		analyzes: st.Analyzes,
+	g, err := newGroup(tab, cfg)
+	if err != nil {
+		return nil, err
 	}
-	g.cfg.Seed = st.Seed
+	g.k, g.sTotal, g.h, g.analyzes = st.K, st.STotal, st.H, st.Analyzes
+	g.prec, g.cfg.Seed = core.PrecisionFromMeta(meta), st.Seed
+	// Every shard must hold exactly the rows the partitioning rule gives
+	// it, because the owner mapping addresses the shards by that rule; the
+	// rule applied to a one-column sample of STotal rows counts them. Each
+	// of those values takes at least one byte of the file.
+	if st.STotal < 1 || st.STotal > len(b) {
+		return nil, fmt.Errorf("%w: group frame says %d points", checkpoint.ErrCorrupt, st.STotal)
+	}
+	rows := partition(make([]float64, st.STotal), 1, st.K)
 	parts := make([][]float64, st.K)
-	total := 0
 	for i := range parts {
 		var fr shardFrame
 		if err := checkpoint.Unmarshal(frames[i+1], &fr); err != nil {
 			return nil, fmt.Errorf("shard %d frame: %w", i, err)
 		}
+		if len(fr.Data) != len(rows[i])*st.D {
+			return nil, fmt.Errorf("%w: shard %d frame holds %d values, want %d rows of %d",
+				checkpoint.ErrCorrupt, i, len(fr.Data), len(rows[i]), st.D)
+		}
 		parts[i] = fr.Data
-		total += len(fr.Data) / st.D
 	}
-	if g.shards, err = buildShards(parts, st.D, g.pool, g.h, prec); err != nil {
+	ms := sample.State{Draws: st.Draws, Seen: st.ResSeen, Karma: st.Karma, Cursor: st.IngestSeq}
+	g.maint.Restore(st.Seed, ms)
+	g.queries.Store(int64(st.Queries))
+	if err := g.tune.Restore(&st.Learner, st.GradTrips); err != nil {
 		return nil, err
 	}
-	if total != st.STotal {
-		return nil, fmt.Errorf("%w: shard frames hold %d points, group frame says %d",
-			checkpoint.ErrCorrupt, total, st.STotal)
-	}
-
-	src := sample.NewCountingSource(st.Seed + 1)
-	src.FastForward(st.Draws)
-	g.src = src
-	g.maint = sample.Maintainer{Rng: rand.New(src), Cursor: st.IngestSeq}
-	if err := g.attachTuner(); err != nil {
+	if err := g.start(parts, &ms); err != nil {
 		return nil, err
 	}
-	if err := g.tune.Restore(st.Learner, st.GradTrips); err != nil {
-		return nil, err
-	}
-	kcfg := cfg.Karma
-	if kcfg.Loss == nil {
-		kcfg.Loss = g.lf
-	}
-	if g.maint.Karma, err = sample.NewKarma(st.STotal, kcfg); err != nil {
-		return nil, err
-	}
-	if err := g.maint.Karma.RestoreScores(st.Karma); err != nil {
-		return nil, err
-	}
-	if g.maint.Res, err = sample.NewReservoir(st.STotal, st.ResSeen, g.maint.Rng); err != nil {
-		return nil, err
-	}
-	tab.Subscribe(g)
-	g.instrument(cfg.Metrics)
-	g.mu.Lock()
-	g.publishLocked()
-	g.mu.Unlock()
 	return g, nil
 }

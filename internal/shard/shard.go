@@ -66,6 +66,7 @@ import (
 	"kdesel/internal/core"
 	"kdesel/internal/fault"
 	"kdesel/internal/kde"
+	"kdesel/internal/kernel"
 	"kdesel/internal/learner"
 	"kdesel/internal/loss"
 	"kdesel/internal/mathx"
@@ -194,10 +195,9 @@ type Group struct {
 	sTotal int
 	h      []float64 // uniform bandwidth across shards
 	tune   *core.Tuner
-	// maint runs karma replacement and change-feed maintenance over the
-	// global sample index (groupSlots); its Rng draws from src.
+	// maint owns the random stream, karma and change-feed maintenance over
+	// the global sample index (groupSlots).
 	maint    sample.Maintainer
-	src      *sample.CountingSource
 	prec     mathx.Precision
 	analyzes int // completed ANALYZE runs (seeds their optimizer RNG)
 	anNext   int // round-robin ANALYZE target
@@ -213,6 +213,7 @@ type groupMetrics struct {
 	gathers        *metrics.Counter
 	degraded       *metrics.Counter
 	invalidQueries *metrics.Counter
+	checkpoints    *metrics.Counter
 }
 
 // Build constructs a K-shard group over tab. The global sample is drawn
@@ -227,56 +228,63 @@ func Build(tab *table.Table, cfg Config) (*Group, error) {
 	if tab.Len() == 0 {
 		return nil, errors.New("shard: cannot build a group over an empty table")
 	}
-	d := tab.Dims()
-	k := cfg.shards()
-	src := sample.NewCountingSource(cfg.Seed + 1)
-	rng := rand.New(src)
-	s := cfg.sampleSize()
-	if s > tab.Len() {
-		s = tab.Len()
-	}
-	flat, err := tab.SampleFlat(s, rng)
+	g, err := newGroup(tab, cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := kde.ScottBandwidth(flat, d)
+	flat, err := g.maint.Draw(tab, cfg.sampleSize(), cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	g.sTotal = len(flat) / g.d
+	g.h = kde.ScottBandwidth(flat, g.d)
+	if err := g.start(partition(flat, g.d, g.k), nil); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
 
+// newGroup returns the group of cfg over tab before it has a sample, with
+// a fresh learner behind the learning step it shares with the serving core
+// (core.Tuner). The step sees the reassembled global sample and installs
+// bandwidths group-wide; its hooks run under g.mu, which Feedback holds.
+func newGroup(tab *table.Table, cfg Config) (*Group, error) {
 	g := &Group{
 		cfg:    cfg,
 		tab:    tab,
-		d:      d,
-		k:      k,
+		d:      tab.Dims(),
+		k:      cfg.shards(),
 		lf:     cfg.loss(),
 		pool:   cfg.pool(),
 		faults: cfg.Faults,
-		sTotal: s,
-		h:      h,
-		maint:  sample.Maintainer{Rng: rng},
-		src:    src,
 		prec:   cfg.Precision,
 	}
-	if g.shards, err = buildShards(partition(flat, d, k), d, g.pool, h, cfg.Precision); err != nil {
+	learn, err := learner.NewRMSprop(g.d, cfg.Learner)
+	if err != nil {
 		return nil, err
 	}
-	if err := g.attachTuner(); err != nil {
-		return nil, err
+	g.tune = core.NewTuner(g.d, learn, g.lf, g.faults, &g.Ladder,
+		func() ([]float64, error) { return g.sampleFlatLocked(), nil },
+		func(h []float64, _ bool) error { g.setBandwidthLocked(h); return nil })
+	return g, nil
+}
+
+// start builds the shards over the row-major partitions parts, turns on
+// sample maintenance (restoring st when it is non-nil), instruments the
+// group and publishes its first view set.
+func (g *Group) start(parts [][]float64, st *sample.State) error {
+	var err error
+	if g.shards, err = buildShards(parts, g.d, g.pool, g.h, g.prec); err != nil {
+		return err
 	}
-	kcfg := cfg.Karma
-	if kcfg.Loss == nil {
-		kcfg.Loss = g.lf
+	if err := g.maint.Track(g.tab, g, g.sTotal, g.cfg.Karma, g.lf, st); err != nil {
+		return err
 	}
-	if g.maint.Karma, err = sample.NewKarma(s, kcfg); err != nil {
-		return nil, err
-	}
-	if g.maint.Res, err = sample.NewReservoir(s, tab.Len(), rng); err != nil {
-		return nil, err
-	}
-	tab.Subscribe(g)
-	g.instrument(cfg.Metrics)
+	g.instrument(g.cfg.Metrics)
 	g.mu.Lock()
 	g.publishLocked()
 	g.mu.Unlock()
-	return g, nil
+	return nil
 }
 
 // partition splits the global row-major sample onto k shards by the
@@ -320,21 +328,6 @@ func buildShards(parts [][]float64, d int, pool *parallel.Pool, h []float64, pre
 	return shards, nil
 }
 
-// attachTuner gives the group a fresh learner behind the learning step it
-// shares with the serving core (core.Tuner): the step sees the reassembled
-// global sample and installs bandwidths group-wide. Its hooks run under
-// g.mu, which Feedback holds.
-func (g *Group) attachTuner() error {
-	learn, err := learner.NewRMSprop(g.d, g.cfg.Learner)
-	if err != nil {
-		return err
-	}
-	g.tune = core.NewTuner(g.d, learn, g.lf, g.faults, &g.Ladder,
-		func() ([]float64, error) { return g.sampleFlatLocked(), nil },
-		func(h []float64, _ bool) error { g.setBandwidthLocked(h); return nil })
-	return nil
-}
-
 func (g *Group) instrument(reg *metrics.Registry) {
 	g.met.reg = reg
 	g.maint.Instrument(reg)
@@ -347,6 +340,7 @@ func (g *Group) instrument(reg *metrics.Registry) {
 	g.met.gathers = reg.Counter("shard.gathers")
 	g.met.degraded = reg.Counter("shard.degraded_gathers")
 	g.met.invalidQueries = reg.Counter("core.invalid_queries")
+	g.met.checkpoints = reg.Counter("core.checkpoints_written")
 	reg.RegisterGaugeFunc("shard.shards", func() float64 { return float64(g.k) })
 	reg.RegisterGaugeFunc("shard.sample_size", func() float64 {
 		if vs := g.views.Load(); vs != nil {
@@ -721,15 +715,7 @@ func (g *Group) Feedback(q query.Range, actual float64) error {
 
 	// Karma maintenance first (it consumes contributions computed under
 	// the pre-step bandwidth), mirroring core.Feedback.
-	bound := 0.0
-	if actual == 0 {
-		bound = sample.EmptyRegionBound(q, g.h)
-	}
-	idx, err := g.maint.Karma.Update(contrib, est, actual, bound)
-	if err != nil {
-		return err
-	}
-	if err := g.maint.ReplaceOutdated(groupSlots{g}, g.tab, idx); err != nil {
+	if err := g.maint.KarmaPass(groupSlots{g}, g.tab, q, g.h, kernel.Gaussian{}, contrib, est, actual); err != nil {
 		return err
 	}
 
