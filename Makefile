@@ -95,11 +95,14 @@ precision-accuracy:
 # mathx-accuracy: the wire-layer chaos test (injected drops/5xx/latency at
 # 4× overload with exact admission accounting), the cancellation race on the
 # request coalescer (a cancelled caller's batch slot is reclaimed, never
-# double-counted), and the client retry/idempotency contract (feedback is
-# never retried). All three run under the race detector.
+# double-counted), the coalescer's work-conserving batching contract, the
+# networked overload experiment (sheds under a CPU-idle service time), and
+# the client retry/idempotency contract (feedback is never retried). All run
+# under the race detector.
 network-resilience:
 	@out="$$($(GO) test -race -count=1 -run 'TestNetworkChaosAccountingExact|TestShedWhenSaturated|TestDeadlinePropagatesToModel' -v ./internal/httpserve/ && \
-		$(GO) test -race -count=1 -run 'TestCancelRaceExactAccounting|TestCloseDrainsWithCancelledRequests' -v ./internal/serve/ && \
+		$(GO) test -race -count=1 -run 'TestCancelRaceExactAccounting|TestCloseDrainsWithCancelledRequests|TestBatchIsWhatQueuedWhileBusy' -v ./internal/serve/ && \
+		$(GO) test -race -count=1 -run 'TestNetworkShape' -v ./internal/experiments/ && \
 		$(GO) test -race -count=1 -run 'TestFeedbackAndAnalyzeNeverRetried|TestEstimateRetriesTransientFailures' -v ./internal/httpclient/)"; \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
@@ -107,6 +110,10 @@ network-resilience:
 		{ echo "network chaos accounting test did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestCancelRaceExactAccounting' || \
 		{ echo "coalescer cancellation race test did not run"; exit 1; }; \
+	echo "$$out" | grep -q -- '--- PASS: TestBatchIsWhatQueuedWhileBusy' || \
+		{ echo "coalescer batching contract test did not run"; exit 1; }; \
+	echo "$$out" | grep -q -- '--- PASS: TestNetworkShape' || \
+		{ echo "network overload experiment test did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestFeedbackAndAnalyzeNeverRetried' || \
 		{ echo "client idempotency contract test did not run"; exit 1; }
 

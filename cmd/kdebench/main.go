@@ -53,7 +53,6 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "periodically checkpoint KDE estimator state into this directory (atomic, CRC-framed; see -checkpoint-every)")
 		ckptEvery  = flag.Int("checkpoint-every", 50, "checkpoint period in training feedbacks (used with -checkpoint-dir)")
 		serveBatch = flag.Int("serve-batch", 0, "serve experiment: max queries coalesced per evaluation (0 = default 64; 1 disables coalescing)")
-		serveWait  = flag.Duration("serve-wait", 0, "serve experiment: batch fill deadline (0 = default 100µs; negative = no wait)")
 		profServe  = flag.Bool("profile-serve", false, "label the serve scheduler goroutine in CPU profiles (pprof label kdesel_serve=batcher; combine with -cpuprofile)")
 		regModels  = flag.Int("registry-models", 0, "registry experiment: single-table model count (0 = default 8)")
 		shards     = flag.Int("shards", 0, "shard experiment: sample partition count K (0 = default 4)")
@@ -303,7 +302,6 @@ func main() {
 		cfg := experiments.ThroughputConfig{
 			Seed:         *seed,
 			MaxBatch:     *serveBatch,
-			MaxWait:      *serveWait,
 			Metrics:      reg,
 			ProfileLabel: *profServe,
 			Precision:    prec,
@@ -325,7 +323,6 @@ func main() {
 		cfg := experiments.AnalyzeLoadConfig{
 			Seed:     *seed,
 			MaxBatch: *serveBatch,
-			MaxWait:  *serveWait,
 			Metrics:  reg,
 		}
 		if *quick {
@@ -346,7 +343,6 @@ func main() {
 			Models:    *regModels,
 			JoinModel: true,
 			MaxBatch:  *serveBatch,
-			MaxWait:   *serveWait,
 			Metrics:   reg,
 		}
 		if *quick {

@@ -17,7 +17,8 @@
 //
 // -serve-batch N (with N > 1) serves the positional queries concurrently
 // through the coalescing server, sharing fused sample traversals between
-// them; -serve-wait bounds the batch fill deadline (armed once per batch).
+// them. The coalescer never waits for batch-mates: a batch is what queued
+// while the previous one was evaluated.
 // The server stays open through the -truth feedback loop and -checkpoint:
 // writer operations take its writer lock while estimates serve lock-free
 // from the published model snapshot, as in an embedded deployment. -erf
@@ -96,7 +97,6 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for probabilistic fault clauses (default: $"+fault.EnvSeedVar+")")
 		metricsOut = flag.String("metrics-out", "", "write an instrumentation snapshot (JSON) to this file on exit")
 		serveBatch = flag.Int("serve-batch", 0, "serve the positional queries concurrently, coalescing up to this many estimates per evaluation (0 = sequential)")
-		serveWait  = flag.Duration("serve-wait", 0, "coalescer batch fill deadline (0 = default 100µs; used with -serve-batch)")
 		erfMode    = flag.String("erf", "exact", "erf implementation for Gaussian kernels: exact (math.Erf) | fast (polynomial, |err| ≤ 1e-7)")
 		modelsSpec = flag.String("models", "", "multi-model mode: semicolon-separated ordered column subsets, e.g. \"0,1;1,2\"; queries then use cols@lo:hi routing")
 		analyzeSp  = flag.String("analyze", "", "with -models: re-optimize the model over these columns (or \"all\") from -train self-generated feedbacks before serving queries")
@@ -188,7 +188,6 @@ func main() {
 			metricsOut:  *metricsOut,
 			met:         reg,
 			serveBatch:  *serveBatch,
-			serveWait:   *serveWait,
 			prec:        prec,
 			faults:      inj,
 			queries:     flag.Args(),
@@ -228,7 +227,7 @@ func main() {
 		default:
 			fail("unknown mode %q", *mode)
 		}
-		serveCfg := kdesel.ServeConfig{MaxBatch: *serveBatch, MaxWait: *serveWait, Precision: prec}
+		serveCfg := kdesel.ServeConfig{MaxBatch: *serveBatch, Precision: prec}
 		if *shardsN > 1 {
 			// Sharded models start from the heuristic bandwidth and adapt
 			// through feedback; -mode shapes only the unsharded path.
@@ -336,7 +335,7 @@ func main() {
 		// server stays open through the feedback loop and checkpoint below —
 		// writer operations go through its writer lock while the estimator
 		// remains servable, exactly as in an embedded deployment.
-		srv = kdesel.NewServer(est, kdesel.ServeConfig{MaxBatch: *serveBatch, MaxWait: *serveWait, Metrics: reg, Precision: prec})
+		srv = kdesel.NewServer(est, kdesel.ServeConfig{MaxBatch: *serveBatch, Metrics: reg, Precision: prec})
 		defer srv.Close()
 		var wg sync.WaitGroup
 		estErrs := make([]error, len(queries))
@@ -454,7 +453,6 @@ type modelsRun struct {
 	metricsOut      string
 	met             *metrics.Registry
 	serveBatch      int
-	serveWait       time.Duration
 	prec            kdesel.Precision
 	listen          string
 	httpTimeout     time.Duration
@@ -479,7 +477,7 @@ func runModels(r modelsRun) {
 		Metrics:       r.met,
 	})
 
-	serveCfg := kdesel.ServeConfig{MaxBatch: r.serveBatch, MaxWait: r.serveWait, Precision: r.prec}
+	serveCfg := kdesel.ServeConfig{MaxBatch: r.serveBatch, Precision: r.prec}
 	keys := make([]kdesel.ModelKey, len(subsets))
 	for i, cols := range subsets {
 		key := kdesel.NewModelKey(r.tableName, cols...)

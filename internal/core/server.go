@@ -79,17 +79,16 @@ func (e *Estimator) estimateBatchRaw(qs []query.Range, ests []float64) error {
 }
 
 // ServeConfig tunes a Server's request coalescing; the zero value enables
-// it with the serve-package defaults (batches of up to serve.DefaultMaxBatch
-// queries, serve.DefaultMaxWait fill deadline).
+// it with the serve-package default batch cap (serve.DefaultMaxBatch). The
+// coalescer is work-conserving: it never waits for batch-mates, so a lone
+// request is evaluated at once as a batch of one, and a batch is whatever
+// queued while the previous one was evaluated.
 type ServeConfig struct {
 	// MaxBatch caps how many concurrent Estimate calls share one fused
 	// traversal (default serve.DefaultMaxBatch). MaxBatch ≤ 1 (but non-zero)
 	// disables coalescing entirely: Estimate takes the direct mutex path
 	// and no scheduler goroutine is started.
 	MaxBatch int
-	// MaxWait bounds the extra latency a lone request pays waiting for
-	// companions (default serve.DefaultMaxWait; negative means no wait).
-	MaxWait time.Duration
 	// Queue is the pending-request capacity (default 4·MaxBatch).
 	Queue int
 	// Metrics, when non-nil, receives the serve.* gauges and histograms in
@@ -171,7 +170,6 @@ func NewServer(est *Estimator, cfg ServeConfig) *Server {
 		return est.EstimateBatch(qs, ests)
 	}, serve.Config{
 		MaxBatch:     cfg.MaxBatch,
-		MaxWait:      cfg.MaxWait,
 		Queue:        cfg.Queue,
 		Metrics:      cfg.Metrics,
 		MetricPrefix: cfg.MetricPrefix,

@@ -199,7 +199,7 @@ func TestServerConcurrentEstimateFeedbackCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(e, ServeConfig{MaxBatch: 16, MaxWait: 20 * time.Microsecond, Metrics: reg})
+	s := NewServer(e, ServeConfig{MaxBatch: 16, Metrics: reg})
 
 	const clients = 8
 	const perClient = 60
@@ -294,7 +294,7 @@ func TestServerDeviceFaultDegradesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(e, ServeConfig{MaxBatch: 8, MaxWait: 20 * time.Microsecond})
+	s := NewServer(e, ServeConfig{MaxBatch: 8})
 
 	const clients = 6
 	const perClient = 50
@@ -405,7 +405,7 @@ func TestServerCloseRacesEstimateFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(e, ServeConfig{MaxBatch: 8, MaxWait: 20 * time.Microsecond})
+	s := NewServer(e, ServeConfig{MaxBatch: 8})
 
 	const clients = 8
 	var served atomic.Int64
@@ -594,7 +594,7 @@ func TestServerEstimateAfterClose(t *testing.T) {
 		}
 		return e
 	}
-	s := NewServer(build(), ServeConfig{MaxBatch: 8, MaxWait: 20 * time.Microsecond})
+	s := NewServer(build(), ServeConfig{MaxBatch: 8})
 	rng := rand.New(rand.NewSource(16))
 	warm := dataQuery(tab, rng, 1.5)
 	if _, err := s.Estimate(warm); err != nil {

@@ -25,6 +25,14 @@ import (
 // deterministic in the request count so runs are reproducible.
 const DefaultNetworkFaults = "netdelay:every=7,delay=2ms;net5xx:every=31;netdrop:every=43"
 
+// networkServiceTime is the schedule both runs share: every admitted
+// estimate holds its in-flight slot for 10ms, emulating a device's service
+// time (paper §5). The service is wall-clock real but CPU-idle, which is
+// the regime where admission control, not the host scheduler, decides who
+// waits; a CPU-bound service on a small host throttles its own arrivals,
+// so the admission queue never fills and nothing sheds.
+const networkServiceTime = "servedelay:delay=10ms"
+
 // NetworkConfig parameterizes the networked-serving resilience experiment:
 // closed-loop HTTP clients at a fixed overload factor drive one model
 // through the httpserve frontend over a real loopback listener, once
@@ -54,17 +62,11 @@ type NetworkConfig struct {
 	// Timeout is the per-request deadline (default 2s) — generous, so the
 	// experiment measures shedding, not deadline churn.
 	Timeout time.Duration
-	// MaxWait is the coalescer's batch-fill window (default 10ms) and
-	// MaxBatch its capacity (default serve.DefaultMaxBatch). The long
-	// window emulates a device batching cadence: accepted estimates ride a
-	// wall-clock-real but CPU-idle service time, which is the regime where
-	// admission control — not the host scheduler — decides who waits. (A
-	// CPU-bound service on a small host throttles its own arrivals, so the
-	// admission queue never fills and nothing sheds.)
-	MaxWait  time.Duration
+	// MaxBatch is the model coalescer's capacity (default
+	// serve.DefaultMaxBatch).
 	MaxBatch int
-	// Faults is the chaos schedule (internal/fault grammar) for the faulted
-	// run (default DefaultNetworkFaults).
+	// Faults is the chaos schedule (internal/fault grammar) the faulted run
+	// adds to the shared service time (default DefaultNetworkFaults).
 	Faults string
 	// Seed drives all randomness.
 	Seed int64
@@ -98,9 +100,6 @@ func (c NetworkConfig) withDefaults() NetworkConfig {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 10 * time.Millisecond
 	}
 	if c.Faults == "" {
 		c.Faults = DefaultNetworkFaults
@@ -174,18 +173,22 @@ func Network(cfg NetworkConfig) (*NetworkResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := fault.ParseSchedule(cfg.Faults)
+	baseSched, err := fault.ParseSchedule(networkServiceTime)
+	if err != nil {
+		return nil, err
+	}
+	chaosSched, err := fault.ParseSchedule(networkServiceTime + ";" + cfg.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("network: bad fault schedule: %w", err)
 	}
 
 	res := &NetworkResult{Config: cfg}
-	base, err := networkRun(cfg, tab, streams, nil)
+	base, err := networkRun(cfg, tab, streams, fault.New(cfg.Seed, baseSched), false)
 	if err != nil {
 		return nil, err
 	}
 	res.Baseline = *base
-	chaos, err := networkRun(cfg, tab, streams, fault.New(cfg.Seed, sched))
+	chaos, err := networkRun(cfg, tab, streams, fault.New(cfg.Seed, chaosSched), true)
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +210,9 @@ func Network(cfg NetworkConfig) (*NetworkResult, error) {
 // networkRun is one run: fresh model + frontend on a real loopback
 // listener, closed-loop clients with retries disabled (so every outcome
 // maps 1:1 to one issued request), outcome classification client-side and
-// counter deltas server-side.
-func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, inj *fault.Injector) (*NetworkPoint, error) {
+// counter deltas server-side. inj carries the service time and, when
+// faulted, the chaos schedule.
+func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, inj *fault.Injector, faulted bool) (*NetworkPoint, error) {
 	met := cfg.Metrics
 	if met == nil {
 		// Always instrument locally: the accounting cross-check needs the
@@ -227,7 +231,7 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 		Mode:       core.Heuristic,
 		SampleSize: cfg.SampleSize,
 		Seed:       cfg.Seed,
-	}, core.ServeConfig{MaxBatch: cfg.MaxBatch, MaxWait: cfg.MaxWait}); err != nil {
+	}, core.ServeConfig{MaxBatch: cfg.MaxBatch}); err != nil {
 		return nil, err
 	}
 	fe, err := httpserve.New(httpserve.Config{
@@ -273,7 +277,7 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 	shedBefore := met.Counter("http.shed").Value()
 
 	clients := len(streams)
-	pt := &NetworkPoint{Faulted: inj != nil, Clients: clients}
+	pt := &NetworkPoint{Faulted: faulted, Clients: clients}
 	// Each sample's tag is the request's outcome, so no call returns an
 	// error.
 	const (
@@ -324,11 +328,9 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 	pt.ServerRequests = met.Counter("http.requests").Value() - reqBefore
 	pt.ServerAccepted = met.Counter("http.accepted").Value() - accBefore
 	pt.ServerShed = met.Counter("http.shed").Value() - shedBefore
-	if inj != nil {
-		pt.Delays = int64(inj.Fired(fault.NetDelay))
-		pt.Errors5xx = int64(inj.Fired(fault.NetError))
-		pt.Drops = int64(inj.Fired(fault.NetDrop))
-	}
+	pt.Delays = int64(inj.Fired(fault.NetDelay))
+	pt.Errors5xx = int64(inj.Fired(fault.NetError))
+	pt.Drops = int64(inj.Fired(fault.NetDrop))
 	pt.Exact = pt.Accepted+pt.Shed+pt.Failed == pt.Issued &&
 		pt.ServerAccepted == int64(pt.Accepted) &&
 		pt.ServerShed == int64(pt.Shed) &&
@@ -338,9 +340,9 @@ func networkRun(cfg NetworkConfig, tab *table.Table, streams [][]query.Range, in
 
 // WriteTable renders both runs and the three resilience verdicts.
 func (r *NetworkResult) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "network resilience: d=%d, model=%d points, %d clients over %d slots + %d queue (%d× overload), faults=%q\n",
+	fmt.Fprintf(w, "network resilience: d=%d, model=%d points, %d clients over %d slots + %d queue (%d× overload), service=%q, faults=%q\n",
 		r.Config.Dims, r.Config.SampleSize, r.Chaos.Clients,
-		r.Config.MaxInFlight, r.Config.MaxQueue, r.Config.Overload, r.Config.Faults)
+		r.Config.MaxInFlight, r.Config.MaxQueue, r.Config.Overload, networkServiceTime, r.Config.Faults)
 	fmt.Fprintf(w, "%9s  %7s  %9s  %6s  %7s  %12s  %12s  %10s  %8s  %6s\n",
 		"run", "issued", "accepted", "shed", "failed", "acc p50", "acc p99", "shed p50", "acc qps", "exact")
 	for _, p := range []NetworkPoint{r.Baseline, r.Chaos} {

@@ -55,9 +55,8 @@ type RegistryLoadConfig struct {
 	Duration time.Duration
 	// Feedback is the ANALYZE training-set size (default 48).
 	Feedback int
-	// MaxBatch and MaxWait tune each model's coalescer (serve defaults).
+	// MaxBatch caps each model's coalescer batch (serve default).
 	MaxBatch int
-	MaxWait  time.Duration
 	// MaxResident caps registry residency; 0 disables LRU eviction so the
 	// only eviction is the explicit mid-run one (the default).
 	MaxResident int
@@ -188,7 +187,7 @@ func RegistryLoad(cfg RegistryLoadConfig) (*RegistryLoadResult, error) {
 	defer reg.Close()
 
 	keys := registryModelKeys(cfg.Models, cfg.BaseDims)
-	serveCfg := core.ServeConfig{MaxBatch: cfg.MaxBatch, MaxWait: cfg.MaxWait}
+	serveCfg := core.ServeConfig{MaxBatch: cfg.MaxBatch}
 	for i, k := range keys {
 		pt, err := registry.Project(base, k.Columns)
 		if err != nil {

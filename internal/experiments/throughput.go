@@ -34,10 +34,9 @@ type ThroughputConfig struct {
 	// QueriesPerClient is each client's query budget per sweep point
 	// (default 300).
 	QueriesPerClient int
-	// MaxBatch and MaxWait tune the coalescer (defaults serve.DefaultMaxBatch,
-	// serve.DefaultMaxWait). MaxBatch ≤ 1 measures the uncoalesced mutex path.
+	// MaxBatch caps the coalescer's batch (default serve.DefaultMaxBatch).
+	// MaxBatch ≤ 1 measures the uncoalesced mutex path.
 	MaxBatch int
-	MaxWait  time.Duration
 	// Seed drives all randomness.
 	Seed int64
 	// Metrics, when non-nil, instruments the estimator and the serve layer;
@@ -128,7 +127,6 @@ func Throughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 		queriesBefore := reg.Histogram("serve.batch_size").Sum()
 		srv := core.NewServer(est, core.ServeConfig{
 			MaxBatch:     cfg.MaxBatch,
-			MaxWait:      cfg.MaxWait,
 			Metrics:      reg,
 			ProfileLabel: cfg.ProfileLabel,
 			Precision:    cfg.Precision,
@@ -203,10 +201,9 @@ type AnalyzeLoadConfig struct {
 	Feedback int
 	// Rounds is how many ANALYZE passes the writer fires per run (default 3).
 	Rounds int
-	// MaxBatch and MaxWait tune the coalescer (defaults as in ServeConfig;
+	// MaxBatch caps the coalescer's batch (default as in ServeConfig;
 	// MaxBatch ≤ 1 disables coalescing so each estimate takes the direct path).
 	MaxBatch int
-	MaxWait  time.Duration
 	// Seed drives all randomness.
 	Seed int64
 	// Metrics, when non-nil, instruments the snapshot-path run; the result
@@ -323,7 +320,6 @@ func analyzeLoadRun(cfg AnalyzeLoadConfig, tab *table.Table, train []query.Feedb
 	}
 	srv := core.NewServer(est, core.ServeConfig{
 		MaxBatch:           cfg.MaxBatch,
-		MaxWait:            cfg.MaxWait,
 		Metrics:            reg,
 		SerializeEstimates: serialize,
 	})

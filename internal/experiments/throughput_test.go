@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"kdesel/internal/metrics"
 )
@@ -15,7 +14,6 @@ func TestThroughputShape(t *testing.T) {
 		SampleSize:       512,
 		Clients:          []int{1, 8},
 		QueriesPerClient: 40,
-		MaxWait:          20 * time.Microsecond,
 		Seed:             5,
 		Metrics:          reg,
 	})
@@ -56,7 +54,6 @@ func TestAnalyzeUnderLoadShape(t *testing.T) {
 		Clients:    4,
 		Feedback:   20,
 		Rounds:     2,
-		MaxWait:    20 * time.Microsecond,
 		Seed:       9,
 		Metrics:    reg,
 	})

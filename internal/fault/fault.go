@@ -63,6 +63,12 @@ const (
 	// Pair it with a delay= term; a delay-only rule fires on every
 	// occurrence.
 	NetDelay Point = "netdelay"
+	// ServeDelay stalls an admitted /estimate for the rule's Delay while it
+	// holds its in-flight slot, emulating a device's service time (paper §5):
+	// wall-clock real but CPU-idle, so admission control, not the host
+	// scheduler, decides who waits. Unlike NetDelay it fires after
+	// admission, so shed requests never reach it.
+	ServeDelay Point = "servedelay"
 
 	// ShardFail fails one shard of a sharded estimator during scatter, so
 	// the gather path's partial-failure degradation (serve from the
@@ -73,7 +79,7 @@ const (
 )
 
 // Points lists every defined fault point.
-var Points = []Point{DeviceTransfer, KernelLaunch, OptimizerDiverge, GradientNonFinite, CheckpointCorrupt, NetDrop, NetError, NetDelay, ShardFail}
+var Points = []Point{DeviceTransfer, KernelLaunch, OptimizerDiverge, GradientNonFinite, CheckpointCorrupt, NetDrop, NetError, NetDelay, ServeDelay, ShardFail}
 
 // ErrInjected is the sentinel wrapped by every injected failure. The
 // resilience layer retries and degrades only on errors in this class.
@@ -111,7 +117,8 @@ type Rule struct {
 	// Limit caps the number of injected failures for this point; 0 means
 	// unlimited.
 	Limit int
-	// Delay is the stall injected when a latency point (NetDelay) fires.
+	// Delay is the stall injected when a latency point (NetDelay,
+	// ServeDelay) fires.
 	// A rule whose only clause is Delay fires on every occurrence; combine
 	// with At/Every/Prob/Limit to stall selectively.
 	Delay time.Duration
@@ -339,7 +346,7 @@ func FromEnv() (*Injector, error) {
 //	term     = INDEX | "every=" N | "prob=" P | "limit=" N | "delay=" DUR
 //
 // where point is one of transfer, launch, optimizer, gradient, checkpoint,
-// netdrop, net5xx, netdelay, shard. Bare integers are exact 1-based occurrence
+// netdrop, net5xx, netdelay, servedelay, shard. Bare integers are exact 1-based occurrence
 // indices; DUR is a time.ParseDuration string (e.g. 5ms). A clause whose
 // only term is delay= stalls every occurrence. Examples:
 //
@@ -348,6 +355,7 @@ func FromEnv() (*Injector, error) {
 //	launch:prob=0.05;checkpoint:1
 //	netdelay:delay=5ms           stall every request 5ms at the edge
 //	netdelay:every=4,delay=20ms  stall every 4th request 20ms
+//	servedelay:delay=10ms        hold every admitted estimate's slot 10ms
 func ParseSchedule(spec string) (Schedule, error) {
 	s := make(Schedule)
 	for _, clause := range strings.Split(spec, ";") {

@@ -233,11 +233,12 @@ func TestParseDelayTerm(t *testing.T) {
 }
 
 func TestParseNetworkPoints(t *testing.T) {
-	s, err := ParseSchedule("netdrop:prob=0.1;net5xx:every=9;netdelay:delay=1ms")
+	s, err := ParseSchedule("netdrop:prob=0.1;net5xx:every=9;netdelay:delay=1ms;servedelay:delay=10ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s[NetDrop].Prob != 0.1 || s[NetError].Every != 9 || s[NetDelay].Delay != time.Millisecond {
+	if s[NetDrop].Prob != 0.1 || s[NetError].Every != 9 || s[NetDelay].Delay != time.Millisecond ||
+		s[ServeDelay].Delay != 10*time.Millisecond {
 		t.Fatalf("schedule = %+v", s)
 	}
 }
@@ -250,6 +251,7 @@ func TestScheduleStringRoundTrip(t *testing.T) {
 		"netdelay:delay=5ms",
 		"netdelay:every=4,delay=20ms,limit=2",
 		"netdrop:prob=0.25;net5xx:every=9,limit=4;netdelay:delay=250us",
+		"servedelay:delay=10ms;netdelay:every=7,delay=2ms",
 		"transfer:5,3,1,every=2,prob=0.5,limit=9,delay=1.5ms",
 	}
 	for _, spec := range specs {

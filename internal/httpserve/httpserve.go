@@ -29,7 +29,9 @@
 // /healthz·/readyz surface liveness and the core degradation ladder.
 // Network chaos — connection drops, injected 5xx, added latency — comes
 // from internal/fault's netdrop/net5xx/netdelay points, injected at request
-// intake so a faulted request is never double-counted as accepted.
+// intake so a faulted request is never double-counted as accepted. The
+// servedelay point instead stalls an admitted estimate inside its in-flight
+// slot, emulating device service time.
 //
 // Error taxonomy (JSON body {"error": ..., "code": ...}):
 //
@@ -122,7 +124,9 @@ type Config struct {
 	// Faults, when non-nil, injects network chaos at request intake: the
 	// netdelay point stalls, net5xx answers 500, netdrop severs the
 	// connection without a response. Injection happens before admission, so
-	// a faulted request is never counted as accepted.
+	// a faulted request is never counted as accepted. The servedelay point
+	// is the exception: it stalls an admitted /estimate inside its in-flight
+	// slot, emulating device service time.
 	Faults *fault.Injector
 	// IngestLagDegraded is the continuous-ingestion lag (buffered-but-
 	// unapplied mutations) at or above which a model reports degraded on
@@ -432,6 +436,17 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, start time.Ti
 	}, true
 }
 
+// serviceDelay holds the caller's in-flight slot for d, or until ctx ends;
+// an expired ctx then fails the estimate with its deadline error.
+func serviceDelay(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
 // requestContext derives the per-request deadline: TimeoutParam, then
 // TimeoutHeader, then the configured default, all clamped to MaxTimeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
@@ -550,6 +565,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	if d := s.faults.FireDelay(fault.ServeDelay); d > 0 {
+		serviceDelay(ctx, d)
+	}
 	sel, degraded, err := s.reg.EstimateContextDetail(ctx, key, query.NewRange(req.Lo, req.Hi))
 	if err != nil {
 		s.writeModelErr(w, err)

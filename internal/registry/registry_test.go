@@ -486,7 +486,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 	for i := range keys {
 		keys[i] = NewKey("m", i)
 		tabs[i] = buildTable(t, 200, 1, int64(60+i))
-		if err := r.Admit(keys[i], tabs[i], buildCfg(int64(i)), core.ServeConfig{MaxBatch: 4, MaxWait: 10 * time.Microsecond, Metrics: met}); err != nil {
+		if err := r.Admit(keys[i], tabs[i], buildCfg(int64(i)), core.ServeConfig{MaxBatch: 4, Metrics: met}); err != nil {
 			t.Fatal(err)
 		}
 	}

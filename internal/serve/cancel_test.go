@@ -40,7 +40,7 @@ func TestCancelledRequestNeverEvaluated(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	reg := metrics.New()
-	b := New(gatedEval(&total, entered, release), Config{MaxBatch: 4, MaxWait: time.Millisecond, Metrics: reg})
+	b := New(gatedEval(&total, entered, release), Config{MaxBatch: 4, Metrics: reg})
 	defer b.Close()
 
 	// Plug: one request that enters evaluation and parks there.
@@ -120,7 +120,7 @@ func TestCancelWhileBlockedOnFullQueue(t *testing.T) {
 	var total atomic.Int64
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	b := New(gatedEval(&total, entered, release), Config{MaxBatch: 2, MaxWait: -1, Queue: 1})
+	b := New(gatedEval(&total, entered, release), Config{MaxBatch: 2, Queue: 1})
 	defer b.Close()
 
 	plugDone := make(chan error, 1)
@@ -185,7 +185,7 @@ func TestCancelRaceExactAccounting(t *testing.T) {
 		}
 		return nil
 	}
-	b := New(eval, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
+	b := New(eval, Config{MaxBatch: 8})
 
 	const clients = 16
 	const perClient = 200
@@ -229,7 +229,7 @@ func TestCancelRaceExactAccounting(t *testing.T) {
 // sense that no caller is left parked and the accounting identity holds.
 func TestCloseDrainsWithCancelledRequests(t *testing.T) {
 	var total atomic.Int64
-	b := New(areaEval(nil, &total), Config{MaxBatch: 8, MaxWait: 100 * time.Microsecond})
+	b := New(areaEval(nil, &total), Config{MaxBatch: 8})
 
 	const clients = 24
 	var ok, cancelled, closed atomic.Int64

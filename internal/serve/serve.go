@@ -1,18 +1,26 @@
 // Package serve implements request coalescing for the estimate hot path:
-// a dynamic batcher that lets many concurrent callers share single fused
+// a work-conserving batcher that lets concurrent callers share single fused
 // traversals of the sample.
 //
 // An estimator embedded in a query optimizer is a high-QPS inference
 // service, but the KDE estimate is a full map over the sample (paper
 // eq. 13) whose cost is nearly independent of how many queries ride along
 // one traversal (kde.SelectivityBatch scores a whole query tile against
-// each L1-resident sample chunk). The batcher exploits that: concurrent
-// Estimate callers enqueue; a single scheduler goroutine drains the queue
-// into batches of at most MaxBatch queries, waiting at most MaxWait for
-// stragglers, and evaluates each batch with one call to the configured
-// evaluator. Under load, throughput approaches MaxBatch queries per
-// traversal; an idle service degenerates to single-query latency plus at
-// most MaxWait.
+// each L1-resident sample chunk). Concurrent Estimate callers enqueue; a
+// single scheduler goroutine takes the first queued request, drains
+// whatever else is already queued (up to MaxBatch) and evaluates the batch
+// at once with one call to the configured evaluator. It never waits for
+// batch-mates: a batch is what queued while the previous batch ran (plus
+// what runnable callers enqueue during one processor yield before a lone
+// request is served). An idle service therefore serves a lone request as a
+// batch of one with no added delay, and batches grow only when arrivals
+// outpace evaluation.
+//
+// There is deliberately no fill timer: on an otherwise idle Go runtime a
+// short timer fires at the next ~1ms poll, so even a 100µs fill window
+// costs every lone estimate about 1.1ms and batches nothing. Without one,
+// the e2ebench probe-d2 estimate p90 is 0.14ms against 1.57ms with a 100µs
+// window (2-vCPU host, Go 1.24).
 //
 // The package is deliberately estimator-agnostic — the evaluator is a
 // closure — so locking stays with the owner of the model (core.Server
@@ -23,6 +31,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -35,13 +44,8 @@ import (
 // ErrClosed is returned by Estimate after Close.
 var ErrClosed = errors.New("serve: batcher closed")
 
-// Defaults chosen for an optimizer-embedded service: a 64-query batch is
-// one fused traversal tile budget, and 100µs of extra latency is invisible
-// next to query execution.
-const (
-	DefaultMaxBatch = 64
-	DefaultMaxWait  = 100 * time.Microsecond
-)
+// DefaultMaxBatch is one fused traversal tile budget.
+const DefaultMaxBatch = 64
 
 // EvalFunc evaluates a batch of validated queries, writing one estimate
 // per query into ests (len(ests) == len(qs)). An error applies to the
@@ -55,13 +59,6 @@ type Config struct {
 	// callers fall back to their direct path — the disabled batcher costs
 	// nothing.
 	MaxBatch int
-	// MaxWait bounds how long the scheduler waits for a batch to fill after
-	// the first request arrives (default DefaultMaxWait). The deadline is
-	// armed once per batch and is NOT extended by straggler arrivals, so the
-	// first request's coalescing delay is at most MaxWait even under a
-	// steady trickle. Zero waits not at all: a batch is whatever is already
-	// queued.
-	MaxWait time.Duration
 	// Queue is the pending-request channel capacity (default 4·MaxBatch).
 	Queue int
 	// Metrics, when non-nil, receives serve.queue_depth (gauge),
@@ -89,16 +86,6 @@ func (c Config) maxBatch() int {
 		return DefaultMaxBatch
 	}
 	return c.MaxBatch
-}
-
-func (c Config) maxWait() time.Duration {
-	if c.MaxWait < 0 {
-		return 0
-	}
-	if c.MaxWait == 0 {
-		return DefaultMaxWait
-	}
-	return c.MaxWait
 }
 
 func (c Config) queue(maxBatch int) int {
@@ -139,7 +126,6 @@ type request struct {
 type Batcher struct {
 	eval     EvalFunc
 	maxBatch int
-	maxWait  time.Duration
 
 	// mu gates intake against Close: Estimate sends while holding the read
 	// lock, so once Close acquires the write lock and closes done, no sender
@@ -174,7 +160,6 @@ func New(eval EvalFunc, cfg Config) *Batcher {
 	b := &Batcher{
 		eval:     eval,
 		maxBatch: mb,
-		maxWait:  cfg.maxWait(),
 		reqs:     make(chan *request, cfg.queue(mb)),
 		done:     make(chan struct{}),
 	}
@@ -199,9 +184,6 @@ func New(eval EvalFunc, cfg Config) *Batcher {
 
 // MaxBatch returns the configured batch cap.
 func (b *Batcher) MaxBatch() int { return b.maxBatch }
-
-// MaxWait returns the configured fill deadline.
-func (b *Batcher) MaxWait() time.Duration { return b.maxWait }
 
 // Estimate enqueues q and blocks until its batch has been evaluated,
 // returning the query's estimate. Safe for any number of concurrent
@@ -307,70 +289,37 @@ func (b *Batcher) Close() {
 	}
 }
 
-// run is the scheduler: collect one batch, evaluate, deliver, repeat.
+// run is the scheduler: take the first queued request, drain what else is
+// already queued, evaluate, deliver, repeat. It never waits on a clock for
+// batch-mates; the only pause is one processor yield before serving a lone
+// request.
 func (b *Batcher) run() {
 	defer b.stopped.Done()
 	var (
 		batch = make([]*request, 0, b.maxBatch)
 		qs    = make([]query.Range, b.maxBatch)
 		ests  = make([]float64, b.maxBatch)
-		timer = time.NewTimer(time.Hour)
 	)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
-		// Wait for the batch's first request.
+		// Wait for the batch's first request. Once intake is closed, the
+		// remaining queue is drained below and served before exiting.
 		select {
 		case r := <-b.reqs:
 			batch = append(batch, r)
 		case <-b.done:
-			// Intake is closed; drain stragglers that won the enqueue race.
-			for {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-					continue
-				default:
-				}
-				break
-			}
-			if len(batch) == 0 {
-				return
-			}
 		}
-		// Fill up to MaxBatch: take whatever is already queued without
-		// waiting, then wait out one MaxWait deadline for stragglers. The
-		// deadline is armed ONCE when the batch opens — straggler arrivals
-		// must not extend it, or a steady trickle would hold the first
-		// request hostage for up to (MaxBatch−1)·MaxWait.
-		for len(batch) < b.maxBatch {
-			select {
-			case r := <-b.reqs:
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			break
+		batch = b.drain(batch)
+		if len(batch) == 0 {
+			return // closed and fully drained
 		}
-		if len(batch) < b.maxBatch && b.maxWait > 0 {
-			timer.Reset(b.maxWait)
-			armed := true
-		fill:
-			for len(batch) < b.maxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				case <-timer.C:
-					armed = false
-					break fill
-				case <-b.done:
-					break fill
-				}
-			}
-			if armed && !timer.Stop() {
-				<-timer.C
-			}
+		if len(batch) == 1 {
+			// A caller's send hands its request straight to this goroutine,
+			// so a lone request often means the other callers are runnable
+			// but not yet scheduled, not that there are none. Yield the
+			// processor once so they can enqueue; with nothing else runnable
+			// Gosched returns at once. This never waits on a clock.
+			runtime.Gosched()
+			batch = b.drain(batch)
 		}
 
 		// Claim the batch. Each request is settled by one CAS against its
@@ -405,14 +354,19 @@ func (b *Batcher) run() {
 			}
 		}
 		batch = batch[:0]
+	}
+}
 
+// drain appends whatever is already queued to batch, up to MaxBatch,
+// without waiting.
+func (b *Batcher) drain(batch []*request) []*request {
+	for len(batch) < b.maxBatch {
 		select {
-		case <-b.done:
-			// Closing: keep looping only while requests remain.
-			if len(b.reqs) == 0 {
-				return
-			}
+		case r := <-b.reqs:
+			batch = append(batch, r)
 		default:
+			return batch
 		}
 	}
+	return batch
 }

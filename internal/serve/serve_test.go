@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,9 +54,6 @@ func TestDefaults(t *testing.T) {
 	if got := b.MaxBatch(); got != DefaultMaxBatch {
 		t.Errorf("MaxBatch = %d, want %d", got, DefaultMaxBatch)
 	}
-	if got := b.MaxWait(); got != DefaultMaxWait {
-		t.Errorf("MaxWait = %v, want %v", got, DefaultMaxWait)
-	}
 }
 
 // TestEachCallerGetsOwnResult hammers the batcher with concurrent callers
@@ -61,7 +61,7 @@ func TestDefaults(t *testing.T) {
 // own evaluation.
 func TestEachCallerGetsOwnResult(t *testing.T) {
 	var calls, total atomic.Int64
-	b := New(areaEval(&calls, &total), Config{MaxBatch: 8, MaxWait: 50 * time.Microsecond})
+	b := New(areaEval(&calls, &total), Config{MaxBatch: 8})
 	defer b.Close()
 
 	const callers = 64
@@ -122,7 +122,7 @@ func TestBatchSizeCapped(t *testing.T) {
 		}
 		return nil
 	}
-	b := New(eval, Config{MaxBatch: maxBatch, MaxWait: time.Microsecond, Queue: 64})
+	b := New(eval, Config{MaxBatch: maxBatch, Queue: 64})
 	var wg sync.WaitGroup
 	for c := 0; c < 32; c++ {
 		wg.Add(1)
@@ -147,7 +147,7 @@ func TestBatchSizeCapped(t *testing.T) {
 func TestErrorBroadcast(t *testing.T) {
 	boom := errors.New("boom")
 	eval := func(qs []query.Range, ests []float64) error { return boom }
-	b := New(eval, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
+	b := New(eval, Config{MaxBatch: 8})
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -167,7 +167,7 @@ func TestErrorBroadcast(t *testing.T) {
 // then reject new callers with ErrClosed — and never deadlock either side.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	var total atomic.Int64
-	b := New(areaEval(nil, &total), Config{MaxBatch: 8, MaxWait: 100 * time.Microsecond})
+	b := New(areaEval(nil, &total), Config{MaxBatch: 8})
 
 	const callers = 32
 	var wg sync.WaitGroup
@@ -203,56 +203,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	b.Close() // repeated Close must be safe
 }
 
-// TestFillDeadlineNotExtendedByStragglers is the regression test for the
-// re-arming fill timer: the scheduler used to Reset the MaxWait deadline on
-// every straggler arrival, so a steady trickle spaced just under MaxWait
-// kept the batch open for up to (MaxBatch−1)·MaxWait. The deadline must be
-// armed once per batch, bounding the first request's wait by MaxWait.
-func TestFillDeadlineNotExtendedByStragglers(t *testing.T) {
-	const maxWait = 50 * time.Millisecond
-	b := New(areaEval(nil, nil), Config{MaxBatch: 8, MaxWait: maxWait})
-	defer b.Close()
-
-	// Trickle one straggler every MaxWait·0.9: under the buggy behavior each
-	// arrival pushed the deadline out another full MaxWait, so it never
-	// expired before the batch filled.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(maxWait * 9 / 10)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					b.Estimate(q1(1)) //nolint:errcheck // timing probe only
-				}()
-			}
-		}
-	}()
-
-	start := time.Now()
-	if _, err := b.Estimate(q1(2)); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
-	if elapsed >= 2*maxWait {
-		t.Errorf("first request waited %v under a straggler trickle, want < %v (2·MaxWait)", elapsed, 2*maxWait)
-	}
-}
-
-// TestZeroMaxWaitServesImmediately: MaxWait < 0 means a batch is whatever
-// is queued — a lone request must not wait for companions.
+// TestZeroMaxWaitServesImmediately: the default batcher never waits for
+// batch-mates — a lone request is evaluated as soon as it is queued.
 func TestZeroMaxWaitServesImmediately(t *testing.T) {
-	b := New(areaEval(nil, nil), Config{MaxBatch: 64, MaxWait: -1})
+	b := New(areaEval(nil, nil), Config{})
 	defer b.Close()
 	done := make(chan struct{})
 	go func() {
@@ -264,7 +218,207 @@ func TestZeroMaxWaitServesImmediately(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("lone request with MaxWait<0 did not complete")
+		t.Fatal("lone request did not complete")
+	}
+}
+
+// TestBatchIsWhatQueuedWhileBusy pins the work-conserving contract with an
+// evaluator that parks on every call: a lone request is evaluated as a batch
+// of one; N requests that queue while the evaluator is busy reach the next
+// call together, MaxBatch at a time; and a request cancelled while queued
+// never reaches the evaluator.
+func TestBatchIsWhatQueuedWhileBusy(t *testing.T) {
+	const maxBatch = 4
+	calls := make(chan []float64)
+	gate := make(chan struct{})
+	stop := make(chan struct{})
+	eval := func(qs []query.Range, ests []float64) error {
+		ws := make([]float64, len(qs))
+		for i, q := range qs {
+			ws[i] = q.Hi[0] - q.Lo[0]
+			ests[i] = ws[i]
+		}
+		select {
+		case calls <- ws:
+		case <-stop:
+			return nil
+		}
+		select {
+		case <-gate:
+		case <-stop:
+		}
+		return nil
+	}
+	b := New(eval, Config{MaxBatch: maxBatch, Queue: 16})
+	defer b.Close()
+	// A failed check must not leave the evaluator parked, or Close hangs.
+	defer close(stop)
+
+	estimate := func(ctx context.Context, w float64) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			got, err := b.EstimateContext(ctx, q1(w))
+			if err == nil && got != w {
+				err = fmt.Errorf("got %v, want %v", got, w)
+			}
+			done <- err
+		}()
+		return done
+	}
+	// next returns the widths of the evaluator's next call; the evaluator
+	// stays parked inside that call until release.
+	next := func() []float64 {
+		t.Helper()
+		select {
+		case ws := <-calls:
+			sort.Float64s(ws)
+			return ws
+		case <-time.After(5 * time.Second):
+			t.Fatal("evaluator was not called")
+			return nil
+		}
+	}
+	release := func() { gate <- struct{}{} }
+	queued := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); len(b.reqs) != n; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue depth %d, want %d", len(b.reqs), n)
+			}
+		}
+	}
+	want := func(got []float64, want ...float64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("evaluator call = %v, want %v", got, want)
+		}
+	}
+	ok := func(done <-chan error) {
+		t.Helper()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A lone request is a batch of one.
+	lone := estimate(context.Background(), 1)
+	want(next(), 1)
+	release()
+	ok(lone)
+
+	// Six requests queue behind a busy evaluator: the next call takes
+	// MaxBatch of them, the one after takes the rest.
+	plug := estimate(context.Background(), 10)
+	want(next(), 10)
+	var waiting []<-chan error
+	for w := 2; w <= 7; w++ {
+		waiting = append(waiting, estimate(context.Background(), float64(w)))
+	}
+	queued(6)
+	release()
+	ok(plug)
+	first := next()
+	if len(first) != maxBatch {
+		t.Fatalf("first batch after the busy call = %v, want %d queries", first, maxBatch)
+	}
+	release()
+	second := next()
+	release()
+	all := append(first, second...)
+	sort.Float64s(all)
+	want(all, 2, 3, 4, 5, 6, 7)
+	for _, done := range waiting {
+		ok(done)
+	}
+
+	// A request cancelled while queued never reaches the evaluator.
+	plug = estimate(context.Background(), 10)
+	want(next(), 10)
+	ctx, cancel := context.WithCancel(context.Background())
+	doomed := estimate(ctx, 50)
+	queued(1)
+	survivor := estimate(context.Background(), 60)
+	queued(2)
+	cancel()
+	if err := <-doomed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request returned %v, want context.Canceled", err)
+	}
+	release()
+	ok(plug)
+	want(next(), 60)
+	release()
+	ok(survivor)
+}
+
+// TestCloseDrainsFullQueueInMaxBatchChunks closes a batcher whose queue
+// holds several batches' worth of requests behind a busy evaluator: Close
+// must serve all of them, and the drain must still cut batches at MaxBatch.
+func TestCloseDrainsFullQueueInMaxBatchChunks(t *testing.T) {
+	const maxBatch = 2
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	var maxSeen, total atomic.Int64
+	eval := func(qs []query.Range, ests []float64) error {
+		if total.Add(int64(len(qs))) == int64(len(qs)) {
+			close(entered)
+			<-gate
+		}
+		if n := int64(len(qs)); n > maxSeen.Load() {
+			maxSeen.Store(n)
+		}
+		for i, q := range qs {
+			ests[i] = q.Hi[0] - q.Lo[0]
+		}
+		return nil
+	}
+	b := New(eval, Config{MaxBatch: maxBatch, Queue: 16})
+	const callers = 13
+	var wg sync.WaitGroup
+	call := func() {
+		defer wg.Done()
+		if got, err := b.Estimate(q1(1)); err != nil || got != 1 {
+			t.Errorf("got %v, %v; want 1, nil", got, err)
+		}
+	}
+	wg.Add(1)
+	go call()
+	<-entered
+	wg.Add(callers - 1)
+	for i := 1; i < callers; i++ {
+		go call()
+	}
+	for len(b.reqs) != callers-1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	<-b.done // intake closed with the queue still full
+	close(gate)
+	wg.Wait()
+	<-closed
+	if got := total.Load(); got != callers {
+		t.Errorf("evaluated %d queries, want %d", got, callers)
+	}
+	if got := maxSeen.Load(); got > maxBatch {
+		t.Errorf("largest batch = %d, want ≤ %d", got, maxBatch)
+	}
+}
+
+// BenchmarkBatcherLoneRequest is one caller's round trip through a Batcher
+// with a trivial evaluator: the layer's cost when nothing else is queued.
+func BenchmarkBatcherLoneRequest(b *testing.B) {
+	bt := New(areaEval(nil, nil), Config{})
+	defer bt.Close()
+	q := q1(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bt.Estimate(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -273,7 +427,7 @@ func TestZeroMaxWaitServesImmediately(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	reg := metrics.New()
 	var total atomic.Int64
-	b := New(areaEval(nil, &total), Config{MaxBatch: 8, MaxWait: 50 * time.Microsecond, Metrics: reg})
+	b := New(areaEval(nil, &total), Config{MaxBatch: 8, Metrics: reg})
 
 	const callers = 24
 	var wg sync.WaitGroup

@@ -133,9 +133,11 @@ var (
 type Server = core.Server
 
 // ServeConfig tunes a Server's request coalescing; the zero value enables
-// batching with the defaults (64-query batches, 100µs fill deadline armed
-// once per batch). MaxBatch ≤ 1 disables coalescing; SerializeEstimates
-// restores the pre-snapshot everything-behind-one-mutex baseline.
+// batching with 64-query batches. The coalescer never waits for
+// batch-mates: a lone request is evaluated at once, and a batch is what
+// queued while the previous one ran. MaxBatch ≤ 1 disables coalescing;
+// SerializeEstimates restores the pre-snapshot everything-behind-one-mutex
+// baseline.
 type ServeConfig = core.ServeConfig
 
 // NewServer wraps est for concurrent serving.
