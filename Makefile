@@ -8,12 +8,12 @@ GO ?= go
 BENCH ?= PR10
 
 .PHONY: verify fmtcheck build test race race-resilience mathx-accuracy \
-	precision-accuracy network-resilience shard-determinism checkpoint-compat ingest-lag \
+	precision-accuracy fuzz-smoke network-resilience shard-determinism checkpoint-compat ingest-lag \
 	e2ebench bench-smoke chaos vet crossbuild \
 	bench bench-PR2 bench-PR4 bench-PR5 bench-PR6 bench-PR7 bench-PR8 \
 	bench-PR9 bench-PR10 bench-parallel bench-throughput
 
-verify: fmtcheck vet crossbuild build e2ebench race-resilience mathx-accuracy precision-accuracy network-resilience shard-determinism checkpoint-compat ingest-lag bench-smoke race
+verify: fmtcheck vet crossbuild build e2ebench race-resilience mathx-accuracy precision-accuracy fuzz-smoke network-resilience shard-determinism checkpoint-compat ingest-lag bench-smoke race
 
 # Fail when any file needs gofmt; list the offenders.
 fmtcheck:
@@ -26,11 +26,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# The float32 mass kernels have an amd64 assembly loop and a pure-Go
-# fallback for every other architecture (internal/kernel/mass32_other.go).
-# amd64 `go vet` already checks the assembly against its Go declarations
-# (asmdecl); vet a 64-bit and build a 32-bit non-amd64 target so the
-# fallback keeps compiling.
+# The float32 and exact-mode float64 mass kernels have amd64 assembly
+# loops and pure-Go fallbacks for every other architecture
+# (internal/kernel/mass32_other.go, mass64_other.go). amd64 `go vet`
+# already checks the assembly against its Go declarations (asmdecl); vet a
+# 64-bit and build a 32-bit non-amd64 target so the fallbacks keep
+# compiling.
 crossbuild:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=386 $(GO) build ./...
 
@@ -71,13 +72,15 @@ mathx-accuracy:
 		{ echo "mathx exact-mode bit-identity check did not run"; exit 1; }
 
 # The precision-tier error contracts must actually run, like mathx-accuracy:
-# the float32 segment-table sweep (|error| ≤ 1e-6), the vector mass loop's
-# bit-identity with the pure-Go loops, and the end-to-end tier contract
-# (float32 ≤ 1e-5 max relative estimate error against the float64 path, and
-# the verify gate's fallback behavior).
+# the float32 segment-table sweep (|error| ≤ 1e-6), the vector mass loops'
+# bit-identity with the pure-Go loops (float32, and the exact-mode float64
+# kernels with their vector erf and exp swept against package math, which
+# is required where the log says the float64 vector path exists), and
+# the end-to-end tier contract (float32 ≤ 1e-5 max relative estimate error
+# against the float64 path, and the verify gate's fallback behavior).
 precision-accuracy:
 	@out="$$($(GO) test -count=1 -run 'TestFastErf32Accuracy' -v ./internal/mathx/ && \
-		$(GO) test -count=1 -run 'TestGaussianMass32SIMDMatchesGo' -v ./internal/kernel/ && \
+		$(GO) test -count=1 -run 'TestGaussianMass32SIMDMatchesGo|TestGaussianMass64SIMDMatchesGo|TestErfExp64SIMDMatchesMath' -v ./internal/kernel/ && \
 		$(GO) test -count=1 -run 'TestPrecisionTierContracts' -v ./internal/kde/ && \
 		$(GO) test -count=1 -run 'TestPrecisionVerifyGate' -v ./internal/core/)"; \
 	status=$$?; echo "$$out"; \
@@ -86,10 +89,27 @@ precision-accuracy:
 		{ echo "float32 erf accuracy sweep did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestGaussianMass32SIMDMatchesGo' || \
 		{ echo "float32 vector-vs-Go mass kernel check did not run"; exit 1; }; \
+	echo "$$out" | grep -q -- '--- PASS: TestGaussianMass64SIMDMatchesGo' || \
+		{ echo "float64 vector-vs-Go mass kernel check did not run"; exit 1; }; \
+	if echo "$$out" | grep -q -- 'vector path: AVX-512F with FMA exp'; then \
+		echo "$$out" | grep -q -- '--- PASS: TestErfExp64SIMDMatchesMath' || \
+			{ echo "float64 vector erf/exp sweep did not run"; exit 1; }; \
+	fi; \
 	echo "$$out" | grep -q -- '--- PASS: TestPrecisionTierContracts' || \
 		{ echo "precision tier contract sweep did not run"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS: TestPrecisionVerifyGate' || \
 		{ echo "precision verify-gate check did not run"; exit 1; }
+
+# A short fuzz of each vector mass kernel against its pure-Go oracle
+# (FuzzGaussianMass32, FuzzGaussianMass64), 10 s each. Both must report
+# that they ran, so a fuzz target that no longer matches fails verify.
+fuzz-smoke:
+	@for f in FuzzGaussianMass32 FuzzGaussianMass64; do \
+		out="$$($(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -v ./internal/kernel/ 2>&1)"; \
+		status=$$?; echo "$$out" | tail -3; \
+		if [ $$status -ne 0 ]; then echo "$$out"; exit $$status; fi; \
+		echo "$$out" | grep -q -- "--- PASS: $$f " || { echo "$$f did not run"; exit 1; }; \
+	done
 
 # The networked-serving robustness contract must actually run, mirroring
 # mathx-accuracy: the wire-layer chaos test (injected drops/5xx/latency at
@@ -212,8 +232,10 @@ chaos:
 bench-parallel:
 	$(GO) test -run TestNothing -bench 'BenchmarkObjective|BenchmarkKDEGradient' -benchmem -benchtime 5x .
 
-# Serving throughput at 1/4/16/64 closed-loop clients (see BENCH_PR4.json);
-# qps must grow monotonically from 1 to 16 clients.
+# Serving throughput at 1/4/16/64 closed-loop clients (see BENCH_PR4.json).
+# The coalescer is work-conserving (no fill wait), so one client already
+# keeps a CPU busy and qps need not grow with the client count: it is
+# roughly flat from 1 to 16 clients on a 2-vCPU host (815 → 1046 → 990).
 bench-throughput:
 	$(GO) test -run TestNothing -bench BenchmarkServeThroughput -benchtime 3x .
 

@@ -9,6 +9,15 @@
 // The Gaussian kernel is the paper's default (Appendix A); the Epanechnikov
 // kernel is provided as the cheaper, compactly supported alternative the
 // paper mentions in §3.1.2.
+//
+// The columnar Gaussian mass kernels the fused estimators call — the
+// exact-mode GaussianMassFill, GaussianMassMul and GaussianMassGradFill
+// here (mass64.go, mass64_amd64.s) and the float32 tier's kernels
+// (kernel32.go, mass32_amd64.s) — run as AVX-512 loops on CPUs that have
+// them, chosen once at init. Each vector loop is bit-identical to its
+// pure-Go loop, which stays as the fallback on other CPUs and
+// architectures and as the oracle the vector loop is tested against. The
+// fast-erf float64 mode has no vector loop.
 package kernel
 
 import (
@@ -98,14 +107,15 @@ func GaussianMassScaled(l, u, t, inv float64, fast bool) float64 {
 // caller once per evaluation, not per fill), so a whole estimate sees one
 // consistent mode even if the process-global switch flips mid-call.
 func GaussianMassFill(dst, col []float64, l, u, inv float64, fast bool) {
-	if fast {
+	switch {
+	case fast:
 		for i, t := range col {
 			dst[i] = 0.5 * (mathx.FastErf((u-t)*inv) - mathx.FastErf((l-t)*inv))
 		}
-		return
-	}
-	for i, t := range col {
-		dst[i] = 0.5 * (math.Erf((u-t)*inv) - math.Erf((l-t)*inv))
+	case useVector64:
+		massFill64(dst, col, l, u, inv)
+	default:
+		gaussianMassFillGo(dst, col, l, u, inv)
 	}
 }
 
@@ -115,18 +125,17 @@ func GaussianMassFill(dst, col []float64, l, u, inv float64, fast bool) {
 // a zero product zero even if a later dimension evaluates to NaN, matching
 // the row-major short-circuit exactly).
 func GaussianMassMul(dst, col []float64, l, u, inv float64, fast bool) {
-	if fast {
+	switch {
+	case fast:
 		for i, t := range col {
 			if dst[i] != 0 {
 				dst[i] *= 0.5 * (mathx.FastErf((u-t)*inv) - mathx.FastErf((l-t)*inv))
 			}
 		}
-		return
-	}
-	for i, t := range col {
-		if dst[i] != 0 {
-			dst[i] *= 0.5 * (math.Erf((u-t)*inv) - math.Erf((l-t)*inv))
-		}
+	case useVector64:
+		massMul64(dst, col, l, u, inv)
+	default:
+		gaussianMassMulGo(dst, col, l, u, inv)
 	}
 }
 
@@ -135,14 +144,44 @@ func GaussianMassMul(dst, col []float64, l, u, inv float64, fast bool) {
 // the hoisted constants of GaussianConsts. The mass expression matches
 // GaussianMassFill bit for bit so estimate and gradient paths agree.
 func GaussianMassGradFill(mdst, gdst, col []float64, l, u, inv, c1, c2 float64, fast bool) {
+	switch {
+	case fast:
+		for i, t := range col {
+			dl := l - t
+			du := u - t
+			mdst[i] = 0.5 * (mathx.FastErf(du*inv) - mathx.FastErf(dl*inv))
+			gdst[i] = c1 * (dl*math.Exp(-dl*dl*c2) - du*math.Exp(-du*du*c2))
+		}
+	case useVector64:
+		massGradFill64(mdst, gdst, col, l, u, inv, c1, c2)
+	default:
+		gaussianMassGradFillGo(mdst, gdst, col, l, u, inv, c1, c2)
+	}
+}
+
+// gaussianMassFillGo is the pure-Go exact-mode GaussianMassFill loop.
+func gaussianMassFillGo(dst, col []float64, l, u, inv float64) {
+	for i, t := range col {
+		dst[i] = 0.5 * (math.Erf((u-t)*inv) - math.Erf((l-t)*inv))
+	}
+}
+
+// gaussianMassMulGo is the pure-Go exact-mode GaussianMassMul loop.
+func gaussianMassMulGo(dst, col []float64, l, u, inv float64) {
+	for i, t := range col {
+		if dst[i] != 0 {
+			dst[i] *= 0.5 * (math.Erf((u-t)*inv) - math.Erf((l-t)*inv))
+		}
+	}
+}
+
+// gaussianMassGradFillGo is the pure-Go exact-mode GaussianMassGradFill
+// loop.
+func gaussianMassGradFillGo(mdst, gdst, col []float64, l, u, inv, c1, c2 float64) {
 	for i, t := range col {
 		dl := l - t
 		du := u - t
-		if fast {
-			mdst[i] = 0.5 * (mathx.FastErf(du*inv) - mathx.FastErf(dl*inv))
-		} else {
-			mdst[i] = 0.5 * (math.Erf(du*inv) - math.Erf(dl*inv))
-		}
+		mdst[i] = 0.5 * (math.Erf(du*inv) - math.Erf(dl*inv))
 		gdst[i] = c1 * (dl*math.Exp(-dl*dl*c2) - du*math.Exp(-du*du*c2))
 	}
 }

@@ -288,13 +288,22 @@ func BenchmarkGaussianMassFill(b *testing.B) {
 	d32 := make([]float32, n)
 	inv64, _, _ := GaussianConsts(0.3)
 	inv := GaussianInv32(0.3)
-	b.Run("float64-fast", func(b *testing.B) {
-		b.SetBytes(n * 8)
-		for i := 0; i < b.N; i++ {
-			GaussianMassFill(d64, c64, -0.5, 0.5, inv64, true)
-		}
-		reportNsPerRow(b, n)
-	})
+	for _, k := range []struct {
+		name string
+		fill func()
+	}{
+		{"float64-fast", func() { GaussianMassFill(d64, c64, -0.5, 0.5, inv64, true) }},
+		{"float64-exact", func() { GaussianMassFill(d64, c64, -0.5, 0.5, inv64, false) }},
+		{"float64-exact-go", func() { gaussianMassFillGo(d64, c64, -0.5, 0.5, inv64) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(n * 8)
+			for i := 0; i < b.N; i++ {
+				k.fill()
+			}
+			reportNsPerRow(b, n)
+		})
+	}
 	for _, k := range []struct {
 		name string
 		fill massFn32
@@ -323,14 +332,23 @@ func BenchmarkGaussianMassMul(b *testing.B) {
 	}
 	inv64, _, _ := GaussianConsts(0.3)
 	inv := GaussianInv32(0.3)
-	b.Run("float64-fast", func(b *testing.B) {
-		b.SetBytes(n * 8)
-		for i := 0; i < b.N; i++ {
-			copy(d64, ones64)
-			GaussianMassMul(d64, c64, -0.5, 0.5, inv64, true)
-		}
-		reportNsPerRow(b, n)
-	})
+	for _, k := range []struct {
+		name string
+		mul  func()
+	}{
+		{"float64-fast", func() { GaussianMassMul(d64, c64, -0.5, 0.5, inv64, true) }},
+		{"float64-exact", func() { GaussianMassMul(d64, c64, -0.5, 0.5, inv64, false) }},
+		{"float64-exact-go", func() { gaussianMassMulGo(d64, c64, -0.5, 0.5, inv64) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(n * 8)
+			for i := 0; i < b.N; i++ {
+				copy(d64, ones64)
+				k.mul()
+			}
+			reportNsPerRow(b, n)
+		})
+	}
 	for _, k := range []struct {
 		name string
 		mul  massFn32
